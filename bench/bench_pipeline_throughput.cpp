@@ -81,9 +81,11 @@ buildPipelinedBatch(
 {
     std::vector<ScheduleJob> batch;
     for (const auto &[machineName, machine] : machines) {
-        if (machineName != "central" && machineName != "clustered2")
-            continue; // the cheap suite; clustered4/distributed are
-                      // minutes of wall time per point
+        // The cheap suite (names as bench::evaluationMachines spells
+        // them); clustered4/distributed are minutes of wall time per
+        // point.
+        if (machineName != "Central" && machineName != "Clustered (2)")
+            continue;
         for (const KernelSpec &spec : allKernels()) {
             ScheduleJob job;
             job.label = spec.name + "@" + machineName + "/modulo";
@@ -112,6 +114,11 @@ runScalingMode()
 {
     auto machines = bench::evaluationMachines();
     std::vector<ScheduleJob> batch = buildPipelinedBatch(machines);
+    if (batch.empty()) {
+        std::cerr << "bench_pipeline_throughput: the scaling batch is "
+                     "empty (no machine matched the filter)\n";
+        return 1;
+    }
 
     unsigned hw = std::max(1u, std::thread::hardware_concurrency());
     std::vector<unsigned> threadCounts = {1, 2, 4};
@@ -176,6 +183,10 @@ main(int argc, char **argv)
 
     auto machines = bench::evaluationMachines();
     std::vector<ScheduleJob> batch = buildBatch(machines);
+    if (batch.empty()) {
+        std::cerr << "bench_pipeline_throughput: the batch is empty\n";
+        return 1;
+    }
 
     unsigned hw = std::max(1u, std::thread::hardware_concurrency());
     std::vector<unsigned> threadCounts = {1, 2, 4};

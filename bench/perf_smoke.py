@@ -60,6 +60,12 @@ into the benchmark, so the ratio does not depend on the capturing
 machine — and deliberately loose against the ~2x the benchmark
 measures.
 
+A recorded section that ran zero jobs fails the check, whether it is a
+fresh run (no block or II entries matched the filter, an empty sweep,
+a telemetry A/B with no requests) or a committed snapshot (the
+"current" block/II/serve/sweep captures and both "scaling" curves):
+an empty section measures nothing, so it must not pass as a result.
+
 Sections the committed baseline does not have yet (e.g. a snapshot
 taken before a stats field existed) are skipped with a notice rather
 than failing: the check gates regressions against what was measured,
@@ -111,6 +117,43 @@ def key(entry):
     return (entry["kernel"], entry["machine"], entry["mode"])
 
 
+def require_jobs(section, count, failures):
+    """Fail a section that recorded zero jobs; True when it has some."""
+    if count > 0:
+        return True
+    failures.append(f"{section}: zero jobs recorded — the section "
+                    f"measured nothing")
+    return False
+
+
+def committed_job_counts(doc):
+    """(section, job count) for every committed snapshot present."""
+    counts = []
+    current = doc.get("current")
+    if current is not None:
+        counts.append(("current", len(current.get("entries", []))))
+    ii = doc.get("modulo_ii", {}).get("current")
+    if ii is not None:
+        counts.append(("modulo_ii.current", len(ii.get("entries", []))))
+    serve = doc.get("serve_latency", {}).get("current")
+    if serve is not None:
+        counts.append((
+            "serve_latency.current",
+            sum(e.get("requests", 0) for e in serve.get("entries", [])),
+        ))
+    dse = doc.get("dse_sweep", {}).get("current")
+    if dse is not None:
+        counts.append(("dse_sweep.current", dse.get("jobs", 0)))
+    scaling = doc.get("scaling", {})
+    if "ii_search" in scaling:
+        counts.append(("scaling.ii_search",
+                       len(scaling["ii_search"].get("points", []))))
+    if "pipeline" in scaling:
+        counts.append(("scaling.pipeline",
+                       scaling["pipeline"].get("jobs", 0)))
+    return counts
+
+
 def check(bench, bench_filter, committed, failures, sums):
     raw = subprocess.run(
         [bench, "--json", "--reps", str(REPS), "--filter", bench_filter],
@@ -119,6 +162,9 @@ def check(bench, bench_filter, committed, failures, sums):
         text=True,
     ).stdout
     fresh = json.loads(raw)["entries"]
+    if not require_jobs(f"{bench} --filter {bench_filter}", len(fresh),
+                        failures):
+        return
 
     for entry in fresh:
         ref = committed.get(key(entry))
@@ -217,9 +263,12 @@ def check_serve_telemetry(bench_serve, failures):
         text=True,
     ).stdout
     ab = json.loads(raw).get("telemetry")
-    if not ab or ab.get("requests", 0) == 0:
+    if not ab:
         print("no telemetry section in the bench output; skipping the "
               "telemetry gate")
+        return
+    if not require_jobs("serve_telemetry", ab.get("requests", 0),
+                        failures):
         return
     p50_off = ab["p50_off_ms"]
     p50_on = ab["p50_on_ms"]
@@ -251,6 +300,8 @@ def check_dse(bench_dse, committed, failures):
         text=True,
     ).stdout
     sweep = json.loads(raw).get("dse_sweep", {})
+    if not require_jobs("dse_sweep", sweep.get("jobs", 0), failures):
+        return
     ratio = sweep.get("throughput_ratio", 0.0)
     hit_rate = sweep.get("shared", {}).get("context_hit_rate", 0.0)
     joins = sweep.get("shared", {}).get("dedup_joins", 0)
@@ -319,6 +370,8 @@ def main():
         )
 
     failures = []
+    for section, count in committed_job_counts(doc):
+        require_jobs(f"committed {section}", count, failures)
     sums = [0.0, 0.0]  # [committed, fresh] over the gated entries
     if committed_block:
         check(

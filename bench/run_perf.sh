@@ -15,6 +15,9 @@
 # ON vs OFF) into the "dse_sweep" section. The first capture of each
 # section also becomes its "baseline" snapshot; later runs keep the
 # committed baseline so the two can be diffed release-over-release.
+# Every captured section is stamped with the capturing machine's core
+# count ("nproc"), and a capture in which any section ran zero jobs is
+# rejected without touching BENCH_sched.json.
 #
 # Usage: bench/run_perf.sh [build-dir]
 #   BUILD_DIR  build directory (default: build; overridden by $1)
@@ -66,6 +69,7 @@ trap 'rm -f "$tmp" "$tmp_ii" "$tmp_serve" "$tmp_scaling" "$tmp_tput" \
 python3 - "$tmp" "$tmp_ii" "$tmp_serve" "$tmp_scaling" "$tmp_tput" \
     "$tmp_dse" "$out" <<'EOF'
 import json
+import os
 import statistics
 import sys
 
@@ -83,6 +87,24 @@ with open(capture_tput_path) as f:
     capture_tput = json.load(f)
 with open(capture_dse_path) as f:
     capture_dse = json.load(f)["dse_sweep"]
+
+job_counts = {
+    "current": len(capture["entries"]),
+    "modulo_ii": len(capture_ii["entries"]),
+    "serve_latency": sum(e["requests"] for e in capture_serve["entries"]),
+    "scaling.ii_search": len(capture_scaling["points"]),
+    "scaling.pipeline": capture_tput["jobs"],
+    "dse_sweep": capture_dse["jobs"],
+}
+empty = sorted(name for name, count in job_counts.items() if count <= 0)
+if empty:
+    sys.exit(f"run_perf.sh: zero jobs recorded in {', '.join(empty)}; "
+             f"{out_path} left unchanged")
+
+nproc = os.cpu_count()
+for section in (capture, capture_ii, capture_serve, capture_scaling,
+                capture_tput, capture_dse):
+    section["nproc"] = nproc
 
 try:
     with open(out_path) as f:

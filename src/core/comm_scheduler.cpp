@@ -72,10 +72,10 @@ BlockScheduler::undoTo(UndoLog::Mark mark)
 {
     log_.unwindTo(mark, [&](const UndoEntry &entry) {
         switch (entry.kind) {
-          case UndoEntry::Kind::FuAcquired:
-            reservations_.releaseFu(entry.fu, entry.cycle, entry.op);
-            break;
           case UndoEntry::Kind::Placed:
+            writeRows_.pop(reservations_.norm(writeStubCycleOf(entry.op)),
+                           entry.op);
+            issueRows_.pop(reservations_.norm(entry.cycle), entry.op);
             reservations_.releaseFu(entry.fu, entry.cycle, entry.op);
             schedule_.unplace(entry.op);
             break;
@@ -126,6 +126,8 @@ BlockScheduler::doPlace(OperationId op, int cycle, FuncUnitId fu)
 {
     reservations_.acquireFu(fu, cycle, op);
     schedule_.place(op, cycle, fu);
+    issueRows_.push(reservations_.norm(cycle), op);
+    writeRows_.push(reservations_.norm(writeStubCycleOf(op)), op);
     UndoEntry entry{};
     entry.kind = UndoEntry::Kind::Placed;
     entry.fu = fu;
@@ -585,6 +587,9 @@ BlockScheduler::unitChoices(OperationId op, int cycle,
             choices.resize(keep);
         }
 
+        if (choices.size() < 2)
+            return choices; // nothing to rank
+
         // Rank remaining choices. Primary: units that can read a file
         // the value already (tentatively) lands in — the feed
         // communication then closes by sharing the existing write
@@ -592,8 +597,9 @@ BlockScheduler::unitChoices(OperationId op, int cycle,
         // least-pressured class, so a copy on a saturated class (e.g.
         // the multipliers when one issues every cycle) does not steal
         // an issue slot the schedule cannot spare.
-        std::vector<RegFileId> residences =
-            valueResidences(operation.operands[0].value);
+        std::vector<RegFileId> &residences =
+            driverFrame(copyDepth).residences;
+        valueResidences(operation.operands[0].value, residences);
         auto reads_residence = [&](FuncUnitId fu) {
             const auto &readable = machine_.readableAnySlot(fu);
             for (RegFileId rf : residences) {
@@ -706,14 +712,12 @@ void
 BlockScheduler::commsReadingAt(int cycle, std::vector<CommId> &out) const
 {
     out.clear();
-    int want = reservations_.norm(cycle);
-    for (const Communication &comm : comms_.all()) {
-        if (!comm.active || comm.closed)
-            continue;
-        if (!isScheduled(comm.reader))
-            continue;
-        if (reservations_.norm(issueCycleOf(comm.reader)) == want)
-            out.push_back(comm.id);
+    for (OperationId op : issueRows_.at(reservations_.norm(cycle))) {
+        for (CommId id : comms_.byReader(op)) {
+            const Communication &comm = comms_.get(id);
+            if (comm.active && !comm.closed)
+                out.push_back(id);
+        }
     }
 }
 
@@ -721,32 +725,29 @@ void
 BlockScheduler::commsWritingAt(int cycle, std::vector<CommId> &out) const
 {
     out.clear();
-    int want = reservations_.norm(cycle);
-    for (const Communication &comm : comms_.all()) {
-        if (!comm.active || comm.closed)
-            continue;
-        if (!comm.writer.valid() || !isScheduled(comm.writer))
-            continue;
-        if (reservations_.norm(writeStubCycleOf(comm.writer)) == want)
-            out.push_back(comm.id);
+    for (OperationId op : writeRows_.at(reservations_.norm(cycle))) {
+        for (CommId id : comms_.byWriter(op)) {
+            const Communication &comm = comms_.get(id);
+            if (comm.active && !comm.closed)
+                out.push_back(id);
+        }
     }
 }
 
-std::vector<RegFileId>
-BlockScheduler::valueResidences(ValueId value) const
+void
+BlockScheduler::valueResidences(ValueId value,
+                                std::vector<RegFileId> &out) const
 {
-    std::vector<RegFileId> residences;
-    for (const Communication &comm : comms_.all()) {
-        if (!comm.active || comm.value != value || !comm.writeStub)
+    out.clear();
+    for (CommId id : comms_.byValue(value)) {
+        const Communication &comm = comms_.get(id);
+        if (!comm.active || !comm.writeStub)
             continue;
         RegFileId rf =
             machine_.writePortRegFile(comm.writeStub->writePort);
-        if (std::find(residences.begin(), residences.end(), rf) ==
-            residences.end()) {
-            residences.push_back(rf);
-        }
+        if (std::find(out.begin(), out.end(), rf) == out.end())
+            out.push_back(rf);
     }
-    return residences;
 }
 
 bool
@@ -787,26 +788,24 @@ bool
 BlockScheduler::closeRoutes(OperationId op, int copyDepth)
 {
     // Gather this operation's closing communications: reads whose
-    // writer is placed (or live-ins), writes whose reader is placed.
-    // Scanned inline (reads first, as CommTable::toReader/fromWriter
-    // would order them) into the depth's reusable frame.
+    // writer is placed (or live-ins), then writes whose reader is
+    // placed, each in ascending id order (the table's index lists keep
+    // it), into the depth's reusable frame.
     std::vector<CommId> &closing = driverFrame(copyDepth).closing;
     closing.clear();
-    for (const Communication &comm : comms_.all()) {
-        if (!comm.active || comm.reader != op || comm.closed)
+    for (CommId id : comms_.byReader(op)) {
+        const Communication &comm = comms_.get(id);
+        if (!comm.active || comm.closed)
             continue;
-        if (comm.isLiveIn() ||
-            (comm.writer.valid() && isScheduled(comm.writer))) {
-            closing.push_back(comm.id);
-        }
+        if (comm.isLiveIn() || isScheduled(comm.writer))
+            closing.push_back(id);
     }
-    for (const Communication &comm : comms_.all()) {
-        if (!comm.active || comm.writer != op)
+    for (CommId id : comms_.byWriter(op)) {
+        const Communication &comm = comms_.get(id);
+        if (!comm.active || comm.closed)
             continue;
-        if (!comm.closed && isScheduled(comm.reader) &&
-            comm.reader != op) {
-            closing.push_back(comm.id);
-        }
+        if (isScheduled(comm.reader) && comm.reader != op)
+            closing.push_back(id);
     }
 
     // Smallest copy range first: those have the least room to recover,

@@ -251,9 +251,11 @@ class BlockScheduler
                       int copyDepth);
     void createCommsFor(OperationId op);
 
-    /** Active, unclosed communications reading on norm(cycle). */
+    /** Active, unclosed communications reading on norm(cycle), in no
+     *  particular order (both permutation searches sort them). */
     void commsReadingAt(int cycle, std::vector<CommId> &out) const;
-    /** Active, unclosed communications writing on norm(cycle). */
+    /** Active, unclosed communications writing on norm(cycle), in no
+     *  particular order. */
     void commsWritingAt(int cycle, std::vector<CommId> &out) const;
 
     /**
@@ -325,9 +327,10 @@ class BlockScheduler
 
     /**
      * Register files the value currently lands in: the targets of the
-     * assigned write stubs of its communications.
+     * assigned write stubs of its active communications.
      */
-    std::vector<RegFileId> valueResidences(ValueId value) const;
+    void valueResidences(ValueId value,
+                         std::vector<RegFileId> &out) const;
 
     /** @name Cycle bookkeeping */
     /// @{
@@ -345,6 +348,7 @@ class BlockScheduler
      */
     /// @{
     void undoTo(UndoLog::Mark mark);
+    /** Place @p op and push it onto its issue and write-stub rows. */
     void doPlace(OperationId op, int cycle, FuncUnitId fu);
     void doAcquireRead(const ReadStub &stub, OperationId reader,
                        int slot, int cycle);
@@ -534,6 +538,21 @@ class BlockScheduler
     BlockSchedule schedule_;
     ReservationTable reservations_;
     CommTable comms_;
+
+    /**
+     * @name Row lists
+     * Placed operations per normalized row: issueRows_ is keyed by
+     * norm(issue cycle), writeRows_ by norm(write-stub cycle).
+     * doPlace pushes onto both and the undo of Placed pops from both,
+     * so every row is a stack in placement order. They let the
+     * permutation searches visit only the communications of the ops
+     * on one row instead of the whole table.
+     */
+    /// @{
+    IdStacks<OperationId> issueRows_;
+    IdStacks<OperationId> writeRows_;
+    /// @}
+
     UndoLog log_;
     CounterSet stats_;
     mutable HotCounters hot_; // const candidate queries count prunes
@@ -559,6 +578,7 @@ class BlockScheduler
                               FuncUnitId>>
             ranked;
         std::vector<CommId> closing;
+        std::vector<RegFileId> residences;
     };
     mutable std::vector<DriverScratch> driverScratch_;
     DriverScratch &driverFrame(int copyDepth) const
@@ -573,6 +593,9 @@ class BlockScheduler
         }
         return driverScratch_[static_cast<std::size_t>(copyDepth)];
     }
+
+    /** Copy-reuse candidates (tryReuseExistingCopy never nests). */
+    std::vector<OperationId> reuseCandidates_;
 
     /** Local no-good cache (options_.noGoodCache gates every use). */
     NoGoodTable noGoods_;

@@ -7,8 +7,12 @@ namespace cs {
 CommId
 CommTable::find(OperationId reader, int slot) const
 {
-    auto it = byReaderSlot_.find({reader.index(), slot});
-    return it == byReaderSlot_.end() ? CommId() : it->second;
+    for (CommId id : byReader(reader)) {
+        const Communication &comm = comms_[id.index()];
+        if (comm.active && comm.slot == slot)
+            return id;
+    }
+    return CommId();
 }
 
 CommId
@@ -26,7 +30,10 @@ CommTable::create(OperationId writer, ValueId value, OperationId reader,
     comm.slot = slot;
     comm.distance = distance;
     comms_.push_back(comm);
-    byReaderSlot_[{reader.index(), slot}] = id;
+    byValue_.push(value.index(), id);
+    if (writer.valid())
+        byWriter_.push(writer.index(), id);
+    byReader_.push(reader.index(), id);
     return id;
 }
 
@@ -36,7 +43,6 @@ CommTable::deactivate(CommId id)
     Communication &comm = get(id);
     CS_ASSERT(comm.active, "communication already inactive");
     comm.active = false;
-    byReaderSlot_.erase({comm.reader.index(), comm.slot});
 }
 
 void
@@ -45,8 +51,10 @@ CommTable::removeLast(CommId id)
     CS_ASSERT(!comms_.empty() && comms_.back().id == id,
               "removeLast must pop the newest communication");
     const Communication &comm = comms_.back();
-    if (comm.active)
-        byReaderSlot_.erase({comm.reader.index(), comm.slot});
+    byValue_.pop(comm.value.index(), id);
+    if (comm.writer.valid())
+        byWriter_.pop(comm.writer.index(), id);
+    byReader_.pop(comm.reader.index(), id);
     comms_.pop_back();
 }
 
@@ -55,8 +63,9 @@ CommTable::reactivate(CommId id)
 {
     Communication &comm = get(id);
     CS_ASSERT(!comm.active, "communication already active");
+    CS_ASSERT(!find(comm.reader, comm.slot).valid(),
+              "another communication feeds this operand");
     comm.active = true;
-    byReaderSlot_[{comm.reader.index(), comm.slot}] = id;
 }
 
 Communication &
@@ -75,26 +84,22 @@ CommTable::get(CommId id) const
     return comms_[id.index()];
 }
 
-std::vector<CommId>
-CommTable::fromWriter(OperationId op) const
+std::span<const CommId>
+CommTable::byValue(ValueId value) const
 {
-    std::vector<CommId> out;
-    for (const Communication &comm : comms_) {
-        if (comm.active && comm.writer == op)
-            out.push_back(comm.id);
-    }
-    return out;
+    return byValue_.at(value.index());
 }
 
-std::vector<CommId>
-CommTable::toReader(OperationId op) const
+std::span<const CommId>
+CommTable::byWriter(OperationId op) const
 {
-    std::vector<CommId> out;
-    for (const Communication &comm : comms_) {
-        if (comm.active && comm.reader == op)
-            out.push_back(comm.id);
-    }
-    return out;
+    return byWriter_.at(op.index());
+}
+
+std::span<const CommId>
+CommTable::byReader(OperationId op) const
+{
+    return byReader_.at(op.index());
 }
 
 } // namespace cs

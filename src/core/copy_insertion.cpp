@@ -8,6 +8,8 @@
  * recursively; failures unwind through the caller's snapshot.
  */
 
+#include <algorithm>
+
 #include "core/comm_scheduler.hpp"
 #include "support/logging.hpp"
 #include "support/trace.hpp"
@@ -25,15 +27,21 @@ BlockScheduler::tryReuseExistingCopy(CommId commId)
         issueCycleOf(original.reader) + original.distance * ii_;
     int copy_latency = machine_.latency(Opcode::Copy);
 
-    for (std::size_t i = 0; i < kernel_.numOperations(); ++i) {
-        OperationId cand(static_cast<std::uint32_t>(i));
+    // Scheduled copies of the value, oldest first: the value's use
+    // list names every operation reading it, in no particular order.
+    std::vector<OperationId> &candidates = reuseCandidates_;
+    candidates.clear();
+    for (auto [user, slot] : kernel_.value(original.value).uses) {
+        if (kernel_.operation(user).isCopy() && isScheduled(user))
+            candidates.push_back(user);
+    }
+    std::sort(candidates.begin(), candidates.end(),
+              [](OperationId a, OperationId b) {
+                  return a.index() < b.index();
+              });
+
+    for (OperationId cand : candidates) {
         const Operation &op = kernel_.operation(cand);
-        if (!op.isCopy() || !isScheduled(cand))
-            continue;
-        if (!op.operands[0].isValue() ||
-            op.operands[0].value != original.value) {
-            continue;
-        }
         if (issueCycleOf(cand) + copy_latency > reader_ready)
             continue; // arrives too late
         // The copy already broadcasts its result somewhere; add (or

@@ -27,7 +27,6 @@ struct UndoEntry
 {
     enum class Kind : std::uint8_t
     {
-        FuAcquired,     ///< undo: release the unit
         Placed,         ///< undo: unplace the operation
         ReadAcquired,   ///< undo: release the read stub
         ReadReleased,   ///< undo: re-acquire the read stub

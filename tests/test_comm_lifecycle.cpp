@@ -2,11 +2,16 @@
  * @file
  * Communication-table and lifecycle unit tests: creation and lookup,
  * deactivation/reactivation (the copy-split transformation and its
- * undo), writer/reader queries, and the open -> closed transition as
- * observed through scheduled results.
+ * undo), the value/writer/reader index views (checked against a
+ * brute-force scan under a random journaled lifecycle), and the
+ * open -> closed transition as observed through scheduled results.
  */
 
 #include <gtest/gtest.h>
+
+#include <random>
+#include <span>
+#include <vector>
 
 #include "core/communication.hpp"
 #include "core/list_scheduler.hpp"
@@ -29,11 +34,15 @@ TEST(CommTable, CreateFindAndQueries)
     EXPECT_EQ(table.find(OperationId(3), 1), c1);
     EXPECT_FALSE(table.find(OperationId(3), 0).valid());
 
-    auto from = table.fromWriter(OperationId(1));
-    EXPECT_EQ(from.size(), 2u);
-    auto to = table.toReader(OperationId(2));
+    auto from = table.byWriter(OperationId(1));
+    ASSERT_EQ(from.size(), 2u);
+    EXPECT_EQ(from[0], c0);
+    EXPECT_EQ(from[1], c1);
+    auto to = table.byReader(OperationId(2));
     ASSERT_EQ(to.size(), 1u);
     EXPECT_EQ(to[0], c0);
+    EXPECT_EQ(table.byValue(ValueId(0)).size(), 2u);
+    EXPECT_TRUE(table.byValue(ValueId(7)).empty());
 
     EXPECT_EQ(table.get(c1).distance, 2);
     EXPECT_FALSE(table.get(c0).isLiveIn());
@@ -58,7 +67,10 @@ TEST(CommTable, DeactivateReactivateRoundTrip)
         table.create(OperationId(1), ValueId(0), OperationId(2), 0, 0);
     table.deactivate(c0);
     EXPECT_FALSE(table.find(OperationId(2), 0).valid());
-    EXPECT_TRUE(table.fromWriter(OperationId(1)).empty());
+    // The index lists keep deactivated entries; callers filter on
+    // Communication::active.
+    ASSERT_EQ(table.byWriter(OperationId(1)).size(), 1u);
+    EXPECT_FALSE(table.get(table.byWriter(OperationId(1))[0]).active);
     table.reactivate(c0);
     EXPECT_EQ(table.find(OperationId(2), 0), c0);
     EXPECT_THROW(table.reactivate(c0), PanicError);
@@ -75,6 +87,123 @@ TEST(CommTable, RemoveLastEnforcesLifo)
     table.removeLast(c1);
     EXPECT_EQ(table.size(), 1u);
     EXPECT_FALSE(table.find(OperationId(3), 0).valid());
+    EXPECT_TRUE(table.byReader(OperationId(3)).empty());
+    ASSERT_EQ(table.byWriter(OperationId(1)).size(), 1u);
+    EXPECT_EQ(table.byWriter(OperationId(1))[0], c0);
+}
+
+/** Brute-force filter over all(): the ids an index view must hold. */
+template <typename Pred>
+std::vector<CommId>
+scanAll(const CommTable &table, Pred pred)
+{
+    std::vector<CommId> out;
+    for (const Communication &comm : table.all()) {
+        if (pred(comm))
+            out.push_back(comm.id);
+    }
+    return out;
+}
+
+void
+expectIndexesMatchScan(const CommTable &table, int numOps, int numValues,
+                       int numSlots)
+{
+    auto view = [](std::span<const CommId> ids) {
+        return std::vector<CommId>(ids.begin(), ids.end());
+    };
+    for (int v = 0; v < numValues; ++v) {
+        ValueId value(static_cast<std::uint32_t>(v));
+        EXPECT_EQ(view(table.byValue(value)),
+                  scanAll(table, [&](const Communication &c) {
+                      return c.value == value;
+                  }))
+            << "value " << v;
+    }
+    for (int o = 0; o < numOps; ++o) {
+        OperationId op(static_cast<std::uint32_t>(o));
+        EXPECT_EQ(view(table.byWriter(op)),
+                  scanAll(table, [&](const Communication &c) {
+                      return c.writer == op;
+                  }))
+            << "writer " << o;
+        EXPECT_EQ(view(table.byReader(op)),
+                  scanAll(table, [&](const Communication &c) {
+                      return c.reader == op;
+                  }))
+            << "reader " << o;
+        for (int slot = 0; slot < numSlots; ++slot) {
+            auto active = scanAll(table, [&](const Communication &c) {
+                return c.active && c.reader == op && c.slot == slot;
+            });
+            ASSERT_LE(active.size(), 1u);
+            EXPECT_EQ(table.find(op, slot),
+                      active.empty() ? CommId() : active[0])
+                << "find(" << o << ", " << slot << ")";
+        }
+    }
+}
+
+TEST(CommTable, IndexesMatchBruteForceUnderRandomLifecycle)
+{
+    // Drive the table the way the scheduler's undo log does: creates
+    // and deactivations are journaled, and an unwind replays the
+    // journal in reverse (removeLast for a create, reactivate for a
+    // deactivation). After every step each index view and find()
+    // must equal a filter over all().
+    constexpr int kOps = 9, kValues = 6, kSlots = 3;
+    std::mt19937 rng(20001);
+    CommTable table;
+    struct Step
+    {
+        bool created;
+        CommId id;
+    };
+    std::vector<Step> journal;
+    auto pick = [&](int n) {
+        return std::uniform_int_distribution<int>(0, n - 1)(rng);
+    };
+
+    for (int step = 0; step < 600; ++step) {
+        int action = pick(10);
+        if (action < 5) {
+            OperationId reader(static_cast<std::uint32_t>(pick(kOps)));
+            int slot = pick(kSlots);
+            if (!table.find(reader, slot).valid()) {
+                OperationId writer =
+                    pick(5) == 0
+                        ? OperationId()
+                        : OperationId(static_cast<std::uint32_t>(
+                              pick(kOps)));
+                ValueId value(static_cast<std::uint32_t>(pick(kValues)));
+                CommId id =
+                    table.create(writer, value, reader, slot, pick(2));
+                journal.push_back({true, id});
+            }
+        } else if (action < 7) {
+            std::vector<CommId> active = scanAll(
+                table, [](const Communication &c) { return c.active; });
+            if (!active.empty()) {
+                CommId id = active[pick(static_cast<int>(active.size()))];
+                table.deactivate(id);
+                journal.push_back({false, id});
+            }
+        } else if (!journal.empty()) {
+            // Unwind one to three journal entries, newest first.
+            for (int n = 1 + pick(3); n > 0 && !journal.empty(); --n) {
+                Step last = journal.back();
+                journal.pop_back();
+                if (last.created)
+                    table.removeLast(last.id);
+                else
+                    table.reactivate(last.id);
+            }
+        }
+        expectIndexesMatchScan(table, kOps, kValues, kSlots);
+        if (::testing::Test::HasFailure())
+            FAIL() << "index mismatch after step " << step;
+    }
+    EXPECT_GT(table.size(), 0u);
 }
 
 TEST(CommLifecycle, AllCommunicationsClosedAfterScheduling)
