@@ -9,7 +9,6 @@
 #define CS_BENCH_COMMON_HPP
 
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "machine/builders.hpp"
@@ -19,15 +18,27 @@
 namespace cs {
 namespace bench {
 
+/** One of the paper's evaluation machines. */
+struct EvaluationMachine
+{
+    /** Lowercase id: the machine field of BENCH_sched.json entries. */
+    std::string id;
+    /** Display name for the paper-vs-measured tables. */
+    std::string name;
+    Machine machine;
+};
+
 /** The paper's four register-file architectures (Section 5). */
-inline std::vector<std::pair<std::string, Machine>>
+inline std::vector<EvaluationMachine>
 evaluationMachines()
 {
-    std::vector<std::pair<std::string, Machine>> machines;
-    machines.emplace_back("Central", makeCentral());
-    machines.emplace_back("Clustered (2)", makeClustered({}, 2));
-    machines.emplace_back("Clustered (4)", makeClustered({}, 4));
-    machines.emplace_back("Distributed", makeDistributed());
+    std::vector<EvaluationMachine> machines;
+    machines.push_back({"central", "Central", makeCentral()});
+    machines.push_back(
+        {"clustered2", "Clustered (2)", makeClustered({}, 2)});
+    machines.push_back(
+        {"clustered4", "Clustered (4)", makeClustered({}, 4)});
+    machines.push_back({"distributed", "Distributed", makeDistributed()});
     return machines;
 }
 

@@ -21,13 +21,13 @@ main()
     printBanner(std::cout, "Figures 25-27: Register File Organization "
                            "Cost (normalized to central)");
 
-    MachineCost central = machineCost(machines[0].second);
+    MachineCost central = machineCost(machines[0].machine);
     TextTable table(
         {"Architecture", "Area", "Power", "Delay", "area bar"});
-    for (auto &[name, machine] : machines) {
-        MachineCost cost = machineCost(machine);
+    for (const bench::EvaluationMachine &m : machines) {
+        MachineCost cost = machineCost(m.machine);
         CostRatios r = costRatios(cost, central);
-        table.addRow({name, TextTable::num(r.area, 3),
+        table.addRow({m.name, TextTable::num(r.area, 3),
                       TextTable::num(r.power, 3),
                       TextTable::num(r.delay, 3),
                       textBar(r.area, 30)});
@@ -36,8 +36,8 @@ main()
 
     std::cout << "\nPaper (distributed vs central): area 0.09, power "
                  "0.06, delay 0.37\n";
-    MachineCost dist = machineCost(machines[3].second);
-    MachineCost cl4 = machineCost(machines[2].second);
+    MachineCost dist = machineCost(machines[3].machine);
+    MachineCost cl4 = machineCost(machines[2].machine);
     CostRatios dvc = costRatios(dist, central);
     CostRatios dvcl = costRatios(dist, cl4);
     std::cout << "Measured: area " << TextTable::num(dvc.area, 3)

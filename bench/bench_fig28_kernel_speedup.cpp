@@ -31,10 +31,10 @@ main()
         int dist_copies = 0;
         for (std::size_t m = 0; m < machines.size(); ++m) {
             KernelRunResult result =
-                runKernel(spec, machines[m].second, true);
+                runKernel(spec, machines[m].machine, true);
             if (!result.scheduled) {
                 CS_FATAL("schedule failed: ", spec.name, " on ",
-                         machines[m].first);
+                         machines[m].name);
             }
             CS_ASSERT(result.valid && result.matches,
                       "invalid schedule in bench for ", spec.name);

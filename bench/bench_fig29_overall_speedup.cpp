@@ -27,7 +27,7 @@ main()
         int central_ii = 0;
         for (std::size_t m = 0; m < machines.size(); ++m) {
             int ii = scheduleCyclesPerIteration(
-                spec, machines[m].second, true);
+                spec, machines[m].machine, true);
             if (m == 0)
                 central_ii = ii;
             double s = static_cast<double>(central_ii) / ii;
@@ -40,7 +40,7 @@ main()
                      "Paper overall", "bar"});
     for (std::size_t m = 0; m < machines.size(); ++m) {
         double overall = geometricMean(speedups[m]);
-        table.addRow({machines[m].first, TextTable::num(overall, 2),
+        table.addRow({machines[m].name, TextTable::num(overall, 2),
                       TextTable::num(minimums[m], 2),
                       TextTable::num(bench::paperOverallSpeedup(m), 2),
                       textBar(overall, 30)});

@@ -30,7 +30,7 @@ main()
         int central_ii = 0;
         for (std::size_t m = 0; m < machines.size(); ++m) {
             int ii = scheduleCyclesPerIteration(
-                spec, machines[m].second, true);
+                spec, machines[m].machine, true);
             if (m == 0)
                 central_ii = ii;
             speedups[m].push_back(static_cast<double>(central_ii) /
@@ -40,9 +40,9 @@ main()
     double dist_perf = geometricMean(speedups[3]);
     double cl4_perf = geometricMean(speedups[2]);
 
-    MachineCost central_cost = machineCost(machines[0].second);
-    MachineCost cl4_cost = machineCost(machines[2].second);
-    MachineCost dist_cost = machineCost(machines[3].second);
+    MachineCost central_cost = machineCost(machines[0].machine);
+    MachineCost cl4_cost = machineCost(machines[2].machine);
+    MachineCost dist_cost = machineCost(machines[3].machine);
     CostRatios dvc = costRatios(dist_cost, central_cost);
     CostRatios dvcl = costRatios(dist_cost, cl4_cost);
 

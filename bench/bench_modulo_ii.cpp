@@ -46,6 +46,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "core/modulo_scheduler.hpp"
 #include "core/sched_context.hpp"
 #include "kernels/kernels.hpp"
@@ -112,16 +113,6 @@ struct JsonEntry
     CounterSet stats; ///< winning attempt's counters (last rep)
 };
 
-/** Failure-learning effort counters, grouped under "search"; the
- *  serial and parallel modes show the cross-attempt no-good reuse
- *  through the shared context (DESIGN.md section 5d). */
-const char *const kSearchCounters[] = {
-    "dfs_nodes",       "nogood_probes",  "nogood_hits",
-    "nogood_misses",   "nogood_inserts", "nogood_invalidations",
-    "nogood_evictions", "backjumps",     "backjump_levels_skipped",
-    "cbj_reruns",
-};
-
 double
 median(std::vector<double> values)
 {
@@ -142,6 +133,9 @@ printJsonEntry(std::ostream &os, const JsonEntry &entry)
        << ",\"ii\":" << entry.ii << ",\"attempts\":" << entry.attempts
        << ",\"attempts_wasted\":" << entry.attemptsWasted
        << ",\"median_ms\":" << entry.medianMs << ",\"search\":";
+    // Failure-learning effort (core's kSearchCounters); the serial and
+    // parallel modes show the cross-attempt no-good reuse through the
+    // shared context (DESIGN.md section 5d).
     writeCounterObject(os, entry.stats, kSearchCounters);
     os << "}";
 }
@@ -151,11 +145,8 @@ runJsonMode(int reps, const std::string &filter, bool all)
 {
     setVerboseLogging(false);
 
-    std::vector<std::pair<std::string, Machine>> machines;
-    machines.emplace_back("central", makeCentral());
-    machines.emplace_back("clustered2", makeClustered({}, 2));
-    machines.emplace_back("clustered4", makeClustered({}, 4));
-    machines.emplace_back("distributed", makeDistributed());
+    std::vector<bench::EvaluationMachine> machines =
+        bench::evaluationMachines();
 
     // The expensive machines get a representative kernel subset by
     // default; the cheap ones run the whole Table-1 suite.
@@ -178,9 +169,10 @@ runJsonMode(int reps, const std::string &filter, bool all)
     parallelConfig.maxInFlight = 3;
 
     std::vector<JsonEntry> entries;
-    for (const auto &[machineName, machine] : machines) {
+    for (const bench::EvaluationMachine &m : machines) {
+        const Machine &machine = m.machine;
         for (const KernelSpec &spec : allKernels()) {
-            if (!inDefaultSet(machineName, spec.name))
+            if (!inDefaultSet(m.id, spec.name))
                 continue;
             Kernel kernel = spec.build();
             const char *const modes[] = {"cold", "serial", "parallel"};
@@ -189,7 +181,7 @@ runJsonMode(int reps, const std::string &filter, bool all)
             for (const char *mode : modes) {
                 JsonEntry entry;
                 entry.kernel = spec.name;
-                entry.machineName = machineName;
+                entry.machineName = m.id;
                 entry.mode = mode;
                 modeEntries.push_back(std::move(entry));
             }
@@ -286,9 +278,12 @@ runScalingMode(int reps)
 {
     setVerboseLogging(false);
 
-    std::vector<std::pair<std::string, Machine>> machines;
-    machines.emplace_back("central", makeCentral());
-    machines.emplace_back("clustered2", makeClustered({}, 2));
+    // The cheap pair: the scaling curve needs many repetitions.
+    std::vector<bench::EvaluationMachine> machines =
+        bench::evaluationMachines();
+    std::erase_if(machines, [](const bench::EvaluationMachine &m) {
+        return m.id != "central" && m.id != "clustered2";
+    });
 
     unsigned hw = std::max(1u, std::thread::hardware_concurrency());
     std::vector<unsigned> workerCounts = {1, 2, 4};
@@ -322,15 +317,15 @@ runScalingMode(int reps)
                 std::uint64_t repCancelUs = 0;
                 std::uint64_t repSerialInline = 0;
                 auto start = std::chrono::steady_clock::now();
-                for (const auto &[machineName, machine] : machines) {
+                for (const bench::EvaluationMachine &m : machines) {
                     for (const KernelSpec &spec : allKernels()) {
                         Kernel kernel = spec.build();
                         PipelineResult result =
                             schedulePipelinedParallel(
-                                kernel, BlockId(0), machine, options,
+                                kernel, BlockId(0), m.machine, options,
                                 64, config);
                         CS_ASSERT(result.success, "scaling suite job ",
-                                  spec.name, "@", machineName,
+                                  spec.name, "@", m.id,
                                   " failed");
                         repAttempts += static_cast<std::uint64_t>(
                             result.attempts);

@@ -38,21 +38,21 @@ namespace {
 using namespace cs;
 
 std::vector<ScheduleJob>
-buildBatch(const std::vector<std::pair<std::string, Machine>> &machines)
+buildBatch(const std::vector<bench::EvaluationMachine> &machines)
 {
     // Distinct maxDelay values re-key otherwise identical jobs without
     // materially changing the work each one does.
     const int delayVariants[] = {2048, 2047, 2046};
     std::vector<ScheduleJob> batch;
-    for (const auto &[machineName, machine] : machines) {
+    for (const bench::EvaluationMachine &m : machines) {
         for (const KernelSpec &spec : allKernels()) {
             for (int maxDelay : delayVariants) {
                 ScheduleJob job;
-                job.label = spec.name + "@" + machineName + "/d" +
+                job.label = spec.name + "@" + m.name + "/d" +
                             std::to_string(maxDelay);
                 job.kernel = spec.build();
                 job.block = BlockId(0);
-                job.machine = &machine;
+                job.machine = &m.machine;
                 job.options.maxDelay = maxDelay;
                 job.pipelined = false;
                 batch.push_back(std::move(job));
@@ -77,21 +77,20 @@ runBatchMs(SchedulingPipeline &pipeline,
 
 std::vector<ScheduleJob>
 buildPipelinedBatch(
-    const std::vector<std::pair<std::string, Machine>> &machines)
+    const std::vector<bench::EvaluationMachine> &machines)
 {
     std::vector<ScheduleJob> batch;
-    for (const auto &[machineName, machine] : machines) {
-        // The cheap suite (names as bench::evaluationMachines spells
-        // them); clustered4/distributed are minutes of wall time per
-        // point.
-        if (machineName != "Central" && machineName != "Clustered (2)")
+    for (const bench::EvaluationMachine &m : machines) {
+        // The cheap suite; clustered4/distributed are minutes of wall
+        // time per point.
+        if (m.id != "central" && m.id != "clustered2")
             continue;
         for (const KernelSpec &spec : allKernels()) {
             ScheduleJob job;
-            job.label = spec.name + "@" + machineName + "/modulo";
+            job.label = spec.name + "@" + m.name + "/modulo";
             job.kernel = spec.build();
             job.block = BlockId(0);
-            job.machine = &machine;
+            job.machine = &m.machine;
             job.pipelined = true;
             batch.push_back(std::move(job));
         }

@@ -38,10 +38,10 @@ main()
         for (std::size_t m : {std::size_t{0}, std::size_t{2},
                               std::size_t{3}}) {
             KernelRunResult run =
-                runKernel(spec, machines[m].second, true);
+                runKernel(spec, machines[m].machine, true);
             CS_ASSERT(run.scheduled, "schedule failed");
             PressureReport report = analyzeRegisterPressure(
-                run.sched.kernel, machines[m].second,
+                run.sched.kernel, machines[m].machine,
                 run.sched.schedule);
             row.push_back(
                 TextTable::num(100 * report.worstUtilization(), 0) +
@@ -51,7 +51,7 @@ main()
             if (!report.fits()) {
                 try {
                     spill_total += static_cast<int>(
-                        planSpills(machines[m].second, report)
+                        planSpills(machines[m].machine, report)
                             .size());
                 } catch (const std::exception &) {
                     // No file has both headroom and a copy path:

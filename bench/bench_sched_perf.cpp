@@ -26,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "core/list_scheduler.hpp"
 #include "core/modulo_scheduler.hpp"
 #include "core/sched_context.hpp"
@@ -157,16 +158,6 @@ const char *const kTrackedCounters[] = {
     "write_perm_bus_prechecks",
 };
 
-/** Failure-learning effort counters, grouped under "search" so the
- *  perf trajectory records how much work the no-good cache and the
- *  conflict-directed backjumper save (DESIGN.md section 5d). */
-const char *const kSearchCounters[] = {
-    "dfs_nodes",       "nogood_probes",  "nogood_hits",
-    "nogood_misses",   "nogood_inserts", "nogood_invalidations",
-    "nogood_evictions", "backjumps",     "backjump_levels_skipped",
-    "cbj_reruns",
-};
-
 void
 printJsonEntry(std::ostream &os, const JsonEntry &entry)
 {
@@ -176,6 +167,9 @@ printJsonEntry(std::ostream &os, const JsonEntry &entry)
        << ",\"median_ms\":" << entry.medianMs << ",\"counters\":";
     writeCounterObject(os, entry.stats, kTrackedCounters);
     os << ",\"search\":";
+    // Failure-learning effort (core's kSearchCounters), grouped under
+    // "search" so the perf trajectory records how much work the no-good
+    // cache saves (DESIGN.md section 5d).
     writeCounterObject(os, entry.stats, kSearchCounters);
     os << "}";
 }
@@ -185,16 +179,13 @@ runJsonMode(int reps, const std::string &filter)
 {
     setVerboseLogging(false);
 
-    std::vector<std::pair<std::string, Machine>> machines;
-    machines.emplace_back("central", makeCentral());
-    machines.emplace_back("clustered2", makeClustered({}, 2));
-    machines.emplace_back("clustered4", makeClustered({}, 4));
-    machines.emplace_back("distributed", makeDistributed());
+    std::vector<bench::EvaluationMachine> machines =
+        bench::evaluationMachines();
 
     struct Job
     {
         const KernelSpec *spec;
-        const std::pair<std::string, Machine> *machine;
+        const bench::EvaluationMachine *machine;
         bool pipelined;
     };
     std::vector<Job> jobs;
@@ -212,7 +203,7 @@ runJsonMode(int reps, const std::string &filter)
     for (const Job &job : jobs) {
         JsonEntry entry;
         entry.kernel = job.spec->name;
-        entry.machineName = job.machine->first;
+        entry.machineName = job.machine->id;
         entry.mode = job.pipelined ? "modulo" : "block";
         entry.label = entry.kernel + "@" + entry.machineName + "#" +
                       entry.mode;
@@ -228,13 +219,13 @@ runJsonMode(int reps, const std::string &filter)
             auto start = std::chrono::steady_clock::now();
             if (job.pipelined) {
                 PipelineResult result = schedulePipelined(
-                    kernel, BlockId(0), job.machine->second);
+                    kernel, BlockId(0), job.machine->machine);
                 entry.success = result.success;
                 if (r == reps - 1)
                     entry.stats = result.inner.stats;
             } else {
                 ScheduleResult result = scheduleBlock(
-                    kernel, BlockId(0), job.machine->second);
+                    kernel, BlockId(0), job.machine->machine);
                 entry.success = result.success;
                 if (r == reps - 1)
                     entry.stats = result.stats;

@@ -51,6 +51,7 @@
 #include <string>
 #include <vector>
 
+#include "core/comm_scheduler.hpp"
 #include "kernels/kernels.hpp"
 #include "machine/builders.hpp"
 #include "pipeline/pipeline.hpp"
@@ -364,15 +365,6 @@ main(int argc, char **argv)
         "attempts_wasted",
         "attempts_cancelled",
         "cancel_latency_us",
-    };
-    static const char *const kSearchCounters[] = {
-        "dfs_nodes",
-        "nogood_probes",
-        "nogood_hits",
-        "nogood_misses",
-        "nogood_invalidations",
-        "backjumps",
-        "backjump_levels_skipped",
     };
     CounterSet iiStats;
     iiStats.bump("workers",

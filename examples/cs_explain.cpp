@@ -242,11 +242,10 @@ main(int argc, char **argv)
     // The adaptive II search's decisions for this block (pipelined
     // runs): the classifier features that key the portfolio, the mode
     // the planner chose, the (ii, variant) attempt order actually
-    // launched — reconstructed from the ii_attempt trace spans — and
-    // any Luby restarts. Nothing here is freshly instrumented: the
-    // features recompute from the public context, the rest reads the
-    // spans and ii_search.* / restart counters the search already
-    // emits.
+    // launched — reconstructed from the ii_attempt trace spans.
+    // Nothing here is freshly instrumented: the features recompute
+    // from the public context, the rest reads the spans and
+    // ii_search.* counters the search already emits.
     if (args.pipelined) {
         std::cout << "\nadaptive II search:\n";
         BlockSchedulingContext context(job.kernel, job.block, machine);
@@ -291,20 +290,6 @@ main(int argc, char **argv)
         if (printed == 0)
             std::cout << " (cache hit — no attempts ran)";
         std::cout << "\n";
-        // ii_search.restarts aggregates every attempt of the search
-        // and already includes the winner's own "restarts" counter.
-        std::uint64_t restarts = stats.get("ii_search.restarts") > 0
-                                     ? stats.get("ii_search.restarts")
-                                     : stats.get("restarts");
-        std::uint64_t restartRejects =
-            stats.get("reject.restart_triggered");
-        if (restarts > 0 || restartRejects > 0) {
-            std::cout << "  restarts: " << restarts
-                      << " (Luby node-limit unwinds: " << restartRejects
-                      << ")\n";
-        } else {
-            std::cout << "  restarts: none\n";
-        }
     }
 
     // Copies: which register-file pair each one bridges and why it

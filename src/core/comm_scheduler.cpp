@@ -310,10 +310,7 @@ BlockScheduler::run()
     // core/nogood.hpp), so a seeded entry can only convert a search
     // that would fail anyway into an immediate failure — schedules
     // are unaffected on any II, variant, or thread.
-    // (Restart mode seeds too even with cross-attempt sharing off:
-    // retained no-goods are what make the restarted run progress.)
-    if (options_.noGoodCache &&
-        (options_.crossAttemptNoGoods || options_.restartOnExplosion)) {
+    if (options_.noGoodCache && options_.crossAttemptNoGoods) {
         std::vector<std::uint64_t> seed;
         ctx_->noGoods().snapshotInto(seed);
         for (std::uint64_t sig : seed)
@@ -331,9 +328,6 @@ BlockScheduler::run()
             if (aborted_) {
                 failure_ = "cancelled";
                 result.cancelled = true;
-            } else if (restartTriggered_) {
-                failure_ = "restart: dfs node limit " +
-                           std::to_string(restartNodeLimit_);
             } else if (failure_.empty()) {
                 failure_ = "could not schedule operation " +
                            kernel_.operation(op).name;
@@ -366,8 +360,7 @@ BlockScheduler::run()
     // Publish this run's learned failures for the next attempt. Valid
     // even when cancelled: entries recorded before the abort latched
     // are genuine (abort-induced failures are never recorded).
-    if (options_.noGoodCache &&
-        (options_.crossAttemptNoGoods || options_.restartOnExplosion) &&
+    if (options_.noGoodCache && options_.crossAttemptNoGoods &&
         !learnedNoGoods_.empty()) {
         ctx_->noGoods().publish(learnedNoGoods_);
         learnedNoGoods_.clear();
@@ -425,9 +418,6 @@ BlockScheduler::flushHotCounters()
     flush("nogood_misses", hot_.nogoodMisses);
     flush("nogood_inserts", hot_.nogoodInserts);
     flush("nogood_invalidations", hot_.nogoodInvalidations);
-    flush("backjumps", hot_.backjumps);
-    flush("backjump_levels_skipped", hot_.backjumpLevelsSkipped);
-    flush("cbj_reruns", hot_.cbjReruns);
     for (std::size_t i = 0; i < kNumRejectReasons; ++i) {
         flush((std::string("reject.") + kRejectReasonNames[i]).c_str(),
               hot_.rejects[i]);

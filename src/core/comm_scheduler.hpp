@@ -88,8 +88,8 @@ struct SchedulerOptions
     bool retryVariants = true;
     /**
      * @name Failure-learning switches
-     * Exact accelerations of the permutation search: disabling any of
-     * them changes wall time, never a schedule
+     * Exact accelerations of the permutation search: disabling either
+     * of them changes wall time, never a schedule
      * (tests/test_search_pruning.cpp holds the listings byte-identical
      * both ways; DESIGN.md §5d has the exactness argument).
      */
@@ -97,45 +97,21 @@ struct SchedulerOptions
     /** Cache signatures of definitively-failed stub searches and skip
      *  the DFS when one recurs. */
     bool noGoodCache = true;
-    /** Conflict-directed backjumping in the permutation DFS: unwind
-     *  straight to the deepest level the rejections actually blame. */
-    bool conflictBackjumping = true;
     /** Migrate learned no-goods between modulo-sweep attempts and
      *  speculative parallel II workers through the shared context. */
     bool crossAttemptNoGoods = true;
     /// @}
 
     /**
-     * @name Adaptive-search switches
-     * The planner/classifier layer over the II search
-     * (pipeline/adaptive.hpp) and CDCL-style restarts. All three are
-     * part of the cache key (pipeline/job.cpp hashOptions) so warm
-     * hits never cross toggle configurations.
-     */
-    /// @{
-    /**
      * Let the speculative parallel II search pick launch order,
      * speculation window, and serial-vs-speculative per block from
-     * the reject-reason mix and the cross-job portfolio. Exact: the
-     * commit rule still selects the serial sweep's winner, so
-     * listings are byte-identical either way (DESIGN.md section 5g).
+     * the reject-reason mix and the cross-job portfolio
+     * (pipeline/adaptive.hpp). Exact: the commit rule still selects
+     * the serial sweep's winner, so listings are byte-identical either
+     * way (DESIGN.md section 5g). Part of the cache key
+     * (pipeline/job.cpp hashOptions) like every other option.
      */
     bool adaptiveOrdering = true;
-    /**
-     * CDCL-style restarts: when one attempt's permutation-DFS node
-     * count crosses a Luby-sequence threshold
-     * (lubySequence(restart#) * restartBaseNodes), the attempt
-     * unwinds and restarts with its learned no-goods retained. NOT
-     * exact — the restarted run spends its budgets on territory the
-     * exploded run never reached, so it may find a different (valid)
-     * schedule; hence default off, and restart-mode results are
-     * pinned by verification + II >= MII rather than listing
-     * equality (tests/test_adaptive.cpp).
-     */
-    bool restartOnExplosion = false;
-    /** Base DFS-node threshold the Luby sequence multiplies. */
-    std::uint64_t restartBaseNodes = 1u << 14;
-    /// @}
 };
 
 /** Outcome of scheduling one block. */
@@ -152,6 +128,17 @@ struct ScheduleResult
      * partial result carries no schedule worth reading.
      */
     bool cancelled = false;
+};
+
+/**
+ * The failure-learning effort counters a run reports in
+ * ScheduleResult::stats (BlockScheduler::flushHotCounters): the one
+ * "search" counter group the bench and CLI JSON records emit.
+ */
+inline constexpr const char *kSearchCounters[] = {
+    "dfs_nodes",      "nogood_probes",        "nogood_hits",
+    "nogood_misses",  "nogood_inserts",       "nogood_invalidations",
+    "nogood_evictions",
 };
 
 /**
@@ -206,27 +193,6 @@ class BlockScheduler
         externalAbortFlag_ = flag;
     }
 
-    /**
-     * Arm the CDCL-style restart trigger: once the run's cumulative
-     * permutation-DFS node count reaches @p limit, the run unwinds
-     * exactly like a cooperative abort (budgets zeroed at the
-     * checkpoints it already pays for) but reports via
-     * restartTriggered() instead of cancelled, and publishes its
-     * learned no-goods so the caller can rerun the attempt with the
-     * next Luby threshold. 0 (the default) disarms.
-     */
-    void setRestartNodeLimit(std::uint64_t limit)
-    {
-        restartNodeLimit_ = limit;
-    }
-
-    /** The last run() unwound on the restart node limit (and not on
-     *  an abort flag — aborts win; a cancelled run never restarts). */
-    bool restartTriggered() const
-    {
-        return restartTriggered_ && !aborted_;
-    }
-
     /** Run to completion; the result owns the kernel and schedule. */
     ScheduleResult run();
 
@@ -275,17 +241,19 @@ class BlockScheduler
     bool permuteReadStubs(int cycle);
     bool permuteWriteStubs(int cycle);
 
+    /** The per-side steps of the permutation search
+     *  (core/stub_search.cpp). */
+    struct ReadSide;
+    struct WriteSide;
     /**
      * Shared implementation: find a non-conflicting permutation over
-     * the unclosed communications on the cycle, optionally forcing one
-     * communication's stub into a particular register file (used by
-     * the retargeting of step 4). On failure the previous assignments
-     * are restored and false is returned.
+     * the unclosed communications of one side on the cycle, optionally
+     * forcing one communication's stub into a particular register file
+     * (used by the retargeting of step 4). On failure the previous
+     * assignments are restored and false is returned.
      */
-    bool permuteReadStubsImpl(int cycle, CommId constrain,
-                              RegFileId wantRf);
-    bool permuteWriteStubsImpl(int cycle, CommId constrain,
-                               RegFileId wantRf);
+    template <class Side>
+    bool permuteStubs(int cycle, CommId constrain, RegFileId wantRf);
 
     /**
      * @name No-good signatures
@@ -413,17 +381,14 @@ class BlockScheduler
         /** Journaled stub acquisitions / releases on the table. */
         std::uint64_t tableAcquires = 0;
         std::uint64_t tableReleases = 0;
-        /** Failure learning: DFS expansion steps actually executed,
-         *  no-good cache traffic, and backjumping activity. */
+        /** Failure learning: DFS expansion steps actually executed
+         *  and no-good cache traffic. */
         std::uint64_t dfsNodes = 0;
         std::uint64_t nogoodProbes = 0;
         std::uint64_t nogoodHits = 0;
         std::uint64_t nogoodMisses = 0;
         std::uint64_t nogoodInserts = 0;
         std::uint64_t nogoodInvalidations = 0;
-        std::uint64_t backjumps = 0;
-        std::uint64_t backjumpLevelsSkipped = 0;
-        std::uint64_t cbjReruns = 0;
         /** Placement rejections by RejectReason (core/reject.hpp),
          *  flushed as the "reject.<name>" counters. */
         std::array<std::uint64_t, kNumRejectReasons> rejects{};
@@ -444,24 +409,26 @@ class BlockScheduler
      * outer search returned — but the pool keeps that a performance
      * fact instead of a correctness assumption).
      */
+    template <class Stub>
+    struct StubBuffers
+    {
+        /** Assignments released at entry, restored on failure. */
+        std::vector<std::optional<Stub>> previous;
+        /** Per-level candidate storage and the views into it. */
+        std::vector<std::vector<Stub>> store;
+        std::vector<std::span<const Stub>> candidates;
+    };
     struct PermScratch
     {
         std::vector<CommId> ids;
         /** Precomputed ordering keys: one key evaluation per id
          *  instead of one per sort comparison. */
         std::vector<std::pair<std::uint64_t, CommId>> orderKeys;
-        std::vector<std::optional<ReadStub>> prevRead;
-        std::vector<std::optional<WriteStub>> prevWrite;
-        std::vector<std::vector<ReadStub>> readStore;
-        std::vector<std::vector<WriteStub>> writeStore;
-        std::vector<std::span<const ReadStub>> readCands;
-        std::vector<std::span<const WriteStub>> writeCands;
+        StubBuffers<ReadStub> read;
+        StubBuffers<WriteStub> write;
         std::vector<int> choice;
         std::vector<ValueId> distinctValues;
         InlineBitset candidateBuses;
-        /** Per-level conflict sets for backjumping (bit l = "a stub
-         *  acquired at level l rejected one of my candidates"). */
-        std::vector<std::uint64_t> conflict;
     };
 
     /** RAII lease on the scratch frame at the current nesting depth. */
@@ -486,12 +453,10 @@ class BlockScheduler
     /** Current cap on attemptsThisOp_ (tightened inside copies). */
     std::uint64_t attemptCap_ = 0;
 
-    /** True once the armed abort flag has been observed raised (or
-     *  the restart node limit has been crossed; both unwind the same
-     *  way — the caller distinguishes via restartTriggered()). */
+    /** True once an armed abort flag has been observed raised. */
     bool abortRequested()
     {
-        if (aborted_ || restartTriggered_)
+        if (aborted_)
             return true;
         if ((abortFlag_ != nullptr &&
              abortFlag_->load(std::memory_order_relaxed)) ||
@@ -502,15 +467,8 @@ class BlockScheduler
             // unwind rejects afterwards is a casualty of this abort,
             // not a scheduling fact worth counting per-site.
             noteReject(RejectReason::Aborted);
-        } else if (restartNodeLimit_ != 0 &&
-                   hot_.dfsNodes >= restartNodeLimit_) {
-            // Luby restart trigger: latch and unwind like an abort.
-            // Checked here — the per-DFS-step checkpoint the search
-            // already pays for — so arming it costs one compare.
-            restartTriggered_ = true;
-            noteReject(RejectReason::RestartTriggered);
         }
-        return aborted_ || restartTriggered_;
+        return aborted_;
     }
     /** External cancellation request (null when disarmed). */
     const std::atomic<bool> *abortFlag_ = nullptr;
@@ -519,10 +477,6 @@ class BlockScheduler
     const std::atomic<bool> *externalAbortFlag_ = nullptr;
     /** Latched locally so unwinding never re-reads the atomic. */
     bool aborted_ = false;
-    /** Restart node limit (0 = disarmed); see setRestartNodeLimit. */
-    std::uint64_t restartNodeLimit_ = 0;
-    /** Latched when hot_.dfsNodes crossed restartNodeLimit_. */
-    bool restartTriggered_ = false;
 
     Kernel kernel_;
     BlockId block_;

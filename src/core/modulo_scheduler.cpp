@@ -1,8 +1,5 @@
 #include "core/modulo_scheduler.hpp"
 
-#include <algorithm>
-
-#include "support/logging.hpp"
 #include "support/trace.hpp"
 
 namespace cs {
@@ -24,53 +21,6 @@ iiRetryVariants(const SchedulerOptions &options)
         variants.push_back(flipped);
     }
     return variants;
-}
-
-std::uint64_t
-lubySequence(std::uint64_t i)
-{
-    // Luby, Sinclair, Zuckerman (1993): u_i = 2^(k-1) when
-    // i == 2^k - 1, else u_(i - (2^k - 1)) for the k with
-    // 2^k - 1 <= i < 2^(k+1) - 1.
-    CS_ASSERT(i >= 1, "Luby sequence is 1-based");
-    for (;;) {
-        std::uint64_t k = 1;
-        while (((std::uint64_t{1} << (k + 1)) - 1) <= i)
-            ++k;
-        if (i == (std::uint64_t{1} << k) - 1)
-            return std::uint64_t{1} << (k - 1);
-        i -= (std::uint64_t{1} << k) - 1; // recurse into the prefix
-    }
-}
-
-ScheduleResult
-runAttemptWithRestarts(const BlockSchedulingContext &context,
-                       const SchedulerOptions &variant, int ii,
-                       const std::atomic<bool> *abortFlag,
-                       const std::atomic<bool> *externalAbortFlag,
-                       std::uint64_t *restartsOut)
-{
-    std::uint64_t restarts = 0;
-    for (std::uint64_t round = 1;; ++round) {
-        BlockScheduler scheduler(context, variant, ii);
-        scheduler.setAbortFlag(abortFlag);
-        scheduler.setExternalAbortFlag(externalAbortFlag);
-        if (variant.restartOnExplosion) {
-            scheduler.setRestartNodeLimit(
-                lubySequence(round) *
-                std::max<std::uint64_t>(variant.restartBaseNodes, 1));
-        }
-        ScheduleResult result = scheduler.run();
-        if (result.cancelled || !scheduler.restartTriggered()) {
-            if (restarts != 0) {
-                result.stats.bump("restarts", restarts);
-                if (restartsOut != nullptr)
-                    *restartsOut += restarts;
-            }
-            return result;
-        }
-        ++restarts;
-    }
 }
 
 PipelineResult
@@ -100,8 +50,9 @@ schedulePipelined(const BlockSchedulingContext &context,
             const SchedulerOptions &variant = variants[v];
             CS_TRACE_SPAN2("ii_attempt", "ii", ii, "variant", v);
             ++result.attempts;
-            ScheduleResult attempt = runAttemptWithRestarts(
-                context, variant, ii, nullptr, abort);
+            BlockScheduler scheduler(context, variant, ii);
+            scheduler.setExternalAbortFlag(abort);
+            ScheduleResult attempt = scheduler.run();
             if (attempt.success) {
                 result.success = true;
                 result.ii = ii;

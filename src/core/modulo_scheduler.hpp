@@ -89,34 +89,6 @@ schedulePipelined(const BlockSchedulingContext &context,
 std::vector<SchedulerOptions> iiRetryVariants(const SchedulerOptions
                                                   &options);
 
-/**
- * Luby restart sequence (1,1,2,1,1,2,4,1,...), the classic universal
- * strategy for CDCL-style restarts: restart round i of an attempt
- * runs under a DFS-node budget of lubySequence(i) * restartBaseNodes.
- * @p i is 1-based.
- */
-std::uint64_t lubySequence(std::uint64_t i);
-
-/**
- * Run one (ii, variant) attempt over a shared context, honouring
- * SchedulerOptions::restartOnExplosion: when the run unwinds on its
- * Luby DFS-node threshold, rerun it with the next threshold — learned
- * no-goods ride the context's exchange, so each rerun skips the
- * territory its predecessors proved infeasible and spends its budgets
- * further afield. Terminates because the threshold reaches any
- * budget-bounded run's total node count. Returns the final run's
- * result with a "restarts" counter in its stats; @p restartsOut (may
- * be null) additionally accumulates the restarts taken. With
- * restartOnExplosion off this is exactly one BlockScheduler run.
- * Both abort flags (may be null) are polled by every round.
- */
-ScheduleResult
-runAttemptWithRestarts(const BlockSchedulingContext &context,
-                       const SchedulerOptions &variant, int ii,
-                       const std::atomic<bool> *abortFlag,
-                       const std::atomic<bool> *externalAbortFlag,
-                       std::uint64_t *restartsOut = nullptr);
-
 } // namespace cs
 
 #endif // CS_CORE_MODULO_SCHEDULER_HPP

@@ -42,13 +42,9 @@ enum class RejectReason : unsigned {
     /** A cooperative abort (parallel II search cancellation) stopped
      * this attempt. */
     Aborted,
-    /** The attempt crossed its Luby restart node threshold and is
-     * unwinding to restart with retained no-goods
-     * (SchedulerOptions::restartOnExplosion). */
-    RestartTriggered,
 };
 
-constexpr std::size_t kNumRejectReasons = 9;
+constexpr std::size_t kNumRejectReasons = 8;
 
 /** Stable snake_case names, indexable by the enum value. These feed
  * counter names ("reject.bus_conflict") and trace-event names. */
@@ -61,7 +57,6 @@ constexpr std::array<const char *, kNumRejectReasons> kRejectReasonNames = {
     "budget_exhausted",
     "no_good_hit",
     "aborted",
-    "restart_triggered",
 };
 
 constexpr const char *

@@ -9,7 +9,10 @@
  * on a copy-connected machine), and the search is repeatable (it is
  * deterministic, and previous assignments are restored verbatim on
  * failure). Closing communications are ordered before open ones,
- * smallest copy range first.
+ * smallest copy range first. The read and write searches are one
+ * chronological DFS (permuteStubs) instantiated per side: ReadSide and
+ * WriteSide supply the participants, candidates and the prune, probe,
+ * acquire and release steps.
  *
  * Everything here runs inside the placement loop, so it works out of
  * pooled scratch buffers (no allocation per probe) and cuts DFS
@@ -22,7 +25,6 @@
  */
 
 #include <algorithm>
-#include <bit>
 #include <climits>
 
 #include "core/comm_scheduler.hpp"
@@ -170,18 +172,15 @@ BlockScheduler::noGoodHit(std::uint64_t sig)
 void
 BlockScheduler::noteNoGood(std::uint64_t sig)
 {
-    if (aborted_ || restartTriggered_) {
-        // The failure was (or may have been) induced by the abort (or
-        // the restart trigger) zeroing the budget; that is not a
-        // property of the inputs, so it must not be learned.
+    if (aborted_) {
+        // The failure was (or may have been) induced by the abort
+        // zeroing the budget; that is not a property of the inputs, so
+        // it must not be learned.
         return;
     }
     if (noGoods_.insert(sig)) {
         ++hot_.nogoodInserts;
-        // Restart retention rides the same exchange as cross-attempt
-        // sharing: a restarted run must re-see this run's failures.
-        if ((options_.crossAttemptNoGoods ||
-             options_.restartOnExplosion) &&
+        if (options_.crossAttemptNoGoods &&
             learnedNoGoods_.size() < NoGoodExchange::kCapacity) {
             learnedNoGoods_.push_back(sig);
         }
@@ -613,33 +612,254 @@ BlockScheduler::writeCandidatesFor(const Communication &comm,
     return storage;
 }
 
-bool
-BlockScheduler::permuteReadStubs(int cycle)
+/**
+ * Read side of the permutation search (step 2): the communications
+ * reading on the cycle, each taking one read stub at its reader's
+ * issue cycle.
+ */
+struct BlockScheduler::ReadSide
 {
-    return permuteReadStubsImpl(cycle, CommId(), RegFileId());
-}
+    using Stub = ReadStub;
+    static constexpr const char *kSpan = "perm_search.read";
+    BlockScheduler &s;
 
-bool
-BlockScheduler::permuteWriteStubs(int cycle)
-{
-    return permuteWriteStubsImpl(cycle, CommId(), RegFileId());
-}
+    static StubBuffers<ReadStub> &buffers(PermScratch &sc)
+    {
+        return sc.read;
+    }
+    void collect(int cycle, std::vector<CommId> &out) const
+    {
+        s.commsReadingAt(cycle, out);
+    }
+    bool closing(const Communication &comm) const
+    {
+        return comm.isLiveIn() ||
+               (comm.writer.valid() && s.isScheduled(comm.writer));
+    }
+    std::uint64_t signature(const std::vector<CommId> &ids, int cycle,
+                            CommId constrain, RegFileId wantRf) const
+    {
+        return s.readSearchSignature(ids, cycle, constrain, wantRf);
+    }
+    const std::optional<ReadStub> &held(const Communication &comm) const
+    {
+        return comm.readStub;
+    }
+    int cycleOf(const Communication &comm) const
+    {
+        return s.issueCycleOf(comm.reader);
+    }
+    std::span<const ReadStub> candidates(const Communication &comm,
+                                         std::vector<ReadStub> &store) const
+    {
+        return s.readCandidatesFor(comm, store);
+    }
+    RegFileId regFileOf(const ReadStub &stub) const
+    {
+        return s.machine_.readPortRegFile(stub.readPort);
+    }
+    bool precheck(PermScratch &, int) const { return true; }
+    /** A write stub on this bus rejects any read outright: the probe's
+     *  own first check, made O(1). */
+    bool prune(const Communication &, const ReadStub &stub, int at) const
+    {
+        if (!s.reservations_.busHasWrite(stub.bus, at))
+            return false;
+        ++s.hot_.pruneReadBus;
+        return true;
+    }
+    bool probe(const Communication &comm, const ReadStub &stub,
+               int at) const
+    {
+        ++s.hot_.probeReads;
+        return s.reservations_.canAcquireRead(stub, comm.reader,
+                                              comm.slot, at);
+    }
+    void acquire(const Communication &comm, const ReadStub &stub,
+                 int at) const
+    {
+        s.doAcquireRead(stub, comm.reader, comm.slot, at);
+    }
+    void release(const Communication &comm, const ReadStub &stub,
+                 int at) const
+    {
+        s.doReleaseRead(stub, comm.reader, comm.slot, at);
+    }
+    /** A budget trip is a search-policy limit, not a port fact;
+     *  everything else exhausted the read-port space. */
+    RejectReason failure(const PermScratch &, bool budgetTripped) const
+    {
+        return budgetTripped ? RejectReason::BudgetExhausted
+                             : RejectReason::ReadPortConflict;
+    }
+    void commit(CommId id, const ReadStub &stub) const
+    {
+        s.setReadStub(id, stub);
+    }
+    void noteFound() const { ++s.hot_.readPermsFound; }
+};
 
-bool
-BlockScheduler::permuteReadStubsImpl(int cycle, CommId constrain,
-                                     RegFileId wantRf)
+/**
+ * Write side of the permutation search (step 3): the communications
+ * writing on the cycle, each taking one write stub at its writer's
+ * write-stub cycle.
+ */
+struct BlockScheduler::WriteSide
 {
+    using Stub = WriteStub;
+    static constexpr const char *kSpan = "perm_search.write";
+    BlockScheduler &s;
+
+    static StubBuffers<WriteStub> &buffers(PermScratch &sc)
+    {
+        return sc.write;
+    }
+    void collect(int cycle, std::vector<CommId> &out) const
+    {
+        s.commsWritingAt(cycle, out);
+    }
+    bool closing(const Communication &comm) const
+    {
+        return s.isScheduled(comm.reader) && comm.readStub.has_value();
+    }
+    std::uint64_t signature(const std::vector<CommId> &ids, int cycle,
+                            CommId constrain, RegFileId wantRf) const
+    {
+        return s.writeSearchSignature(ids, cycle, constrain, wantRf);
+    }
+    const std::optional<WriteStub> &held(const Communication &comm) const
+    {
+        return comm.writeStub;
+    }
+    int cycleOf(const Communication &comm) const
+    {
+        return s.writeStubCycleOf(comm.writer);
+    }
+    std::span<const WriteStub>
+    candidates(const Communication &comm,
+               std::vector<WriteStub> &store) const
+    {
+        return s.writeCandidatesFor(comm, store);
+    }
+    RegFileId regFileOf(const WriteStub &stub) const
+    {
+        return s.machine_.writePortRegFile(stub.writePort);
+    }
+
+    /**
+     * Fast infeasibility check: different values never share a bus,
+     * so the distinct values here need at least as many usable buses
+     * (idle, or already carrying one of these values in write role)
+     * among the candidate stubs. It reads only hashed inputs
+     * (candidate stubs, values) and the hashed row, so a no-good
+     * learned from it is as exact as one learned from the DFS.
+     */
+    bool precheck(PermScratch &sc, int cycle) const
+    {
+        auto &distinct = sc.distinctValues;
+        distinct.clear();
+        for (CommId id : sc.ids) {
+            ValueId v = s.comms_.get(id).value;
+            if (std::find(distinct.begin(), distinct.end(), v) ==
+                distinct.end()) {
+                distinct.push_back(v);
+            }
+        }
+        // One pass collects the buses any candidate stub touches; the
+        // availability probes then run per bus, not per stub.
+        const Machine &machine = s.machine_;
+        InlineBitset &cand_buses = sc.candidateBuses;
+        cand_buses.resize(machine.numBuses());
+        for (const auto &list : sc.write.candidates) {
+            for (const WriteStub &stub : list)
+                cand_buses.set(stub.bus.index());
+        }
+        std::size_t usable_count = 0;
+        for (std::size_t b = 0; b < machine.numBuses(); ++b) {
+            if (!cand_buses.test(b))
+                continue;
+            BusId bus(static_cast<std::uint32_t>(b));
+            for (ValueId v : distinct) {
+                if (s.reservations_.busAvailableForValue(bus, v, cycle)) {
+                    ++usable_count;
+                    break;
+                }
+            }
+        }
+        if (distinct.size() <= usable_count)
+            return true;
+        ++s.hot_.writePermBusPrechecks;
+        s.noteReject(RejectReason::BusConflict);
+        return false;
+    }
+
+    /** A read stub on the bus, or a write of another value, rejects
+     *  this stub no matter what else is reserved. */
+    bool prune(const Communication &comm, const WriteStub &stub,
+               int at) const
+    {
+        ReservationTable::BusWriteProbe bus_probe =
+            s.reservations_.busWriteProbe(stub.bus, at);
+        if (!bus_probe.hasRead &&
+            (!bus_probe.value.valid() || bus_probe.value == comm.value))
+            return false;
+        ++s.hot_.pruneWriteBus;
+        return true;
+    }
+    bool probe(const Communication &comm, const WriteStub &stub,
+               int at) const
+    {
+        ++s.hot_.probeWrites;
+        return s.reservations_.canAcquireWrite(stub, comm.value, at);
+    }
+    void acquire(const Communication &comm, const WriteStub &stub,
+                 int at) const
+    {
+        s.doAcquireWrite(stub, comm.value, at);
+    }
+    void release(const Communication &comm, const WriteStub &stub,
+                 int at) const
+    {
+        s.doReleaseWrite(stub, comm.value, at);
+    }
+    /** A communication with no candidate write stubs at all is the
+     *  "no serviceable write stub" case (nothing the other levels
+     *  choose can fix an empty list); a budget trip is a policy limit;
+     *  the rest exhausted the write-port space. */
+    RejectReason failure(const PermScratch &sc, bool budgetTripped) const
+    {
+        for (const auto &list : sc.write.candidates) {
+            if (list.empty())
+                return RejectReason::NoServiceableWriteStub;
+        }
+        return budgetTripped ? RejectReason::BudgetExhausted
+                             : RejectReason::WritePortConflict;
+    }
+    void commit(CommId id, const WriteStub &stub) const
+    {
+        s.setWriteStub(id, stub);
+    }
+    void noteFound() const { ++s.hot_.writePermsFound; }
+};
+
+template <class Side>
+bool
+BlockScheduler::permuteStubs(int cycle, CommId constrain, RegFileId wantRf)
+{
+    using Stub = typename Side::Stub;
+    const Side side{*this};
     ScratchGuard guard(*this);
     PermScratch &sc = guard.sc;
+    StubBuffers<Stub> &buf = Side::buffers(sc);
     std::vector<CommId> &ids = sc.ids;
-    commsReadingAt(cycle, ids);
+    side.collect(cycle, ids);
     if (constrain.valid() &&
         std::find(ids.begin(), ids.end(), constrain) == ids.end()) {
         return false;
     }
     if (ids.empty())
         return true;
-    CS_TRACE_SPAN1("perm_search.read", "comms", ids.size());
+    CS_TRACE_SPAN1(Side::kSpan, "comms", ids.size());
 
     // Order: closing before open, smallest copy range first. Keys are
     // computed once per communication, not once per comparison.
@@ -648,8 +868,7 @@ BlockScheduler::permuteReadStubsImpl(int cycle, CommId constrain,
     order.reserve(ids.size());
     for (CommId id : ids) {
         const Communication &comm = comms_.get(id);
-        bool closing = comm.isLiveIn() ||
-                       (comm.writer.valid() && isScheduled(comm.writer));
+        bool closing = side.closing(comm);
         int range = INT_MAX;
         if (closing && !comm.isLiveIn()) {
             range = issueCycleOf(comm.reader) + comm.distance * ii_ -
@@ -681,7 +900,7 @@ BlockScheduler::permuteReadStubsImpl(int cycle, CommId constrain,
     std::uint64_t sig = 0;
     bool sigValid = false;
     if (options_.noGoodCache && noGoods_.size() != 0) {
-        sig = readSearchSignature(ids, cycle, constrain, wantRf);
+        sig = side.signature(ids, cycle, constrain, wantRf);
         sigValid = true;
         if (noGoodHit(sig)) {
             noteReject(RejectReason::NoGoodHit);
@@ -690,537 +909,137 @@ BlockScheduler::permuteReadStubsImpl(int cycle, CommId constrain,
     }
 
     // Release current assignments; remember them for rollback.
-    auto &previous = sc.prevRead;
+    auto &previous = buf.previous;
     previous.assign(ids.size(), std::nullopt);
     for (std::size_t i = 0; i < ids.size(); ++i) {
-        Communication &comm = comms_.get(ids[i]);
-        previous[i] = comm.readStub;
-        if (comm.readStub) {
-            doReleaseRead(*comm.readStub, comm.reader, comm.slot,
-                          issueCycleOf(comm.reader));
-        }
+        const Communication &comm = comms_.get(ids[i]);
+        previous[i] = side.held(comm);
+        if (previous[i])
+            side.release(comm, *previous[i], side.cycleOf(comm));
     }
 
     // Candidate lists (post-release so sharing probes see the truth).
-    if (sc.readStore.size() < ids.size())
-        sc.readStore.resize(ids.size());
-    auto &candidates = sc.readCands;
+    if (buf.store.size() < ids.size())
+        buf.store.resize(ids.size());
+    auto &candidates = buf.candidates;
     candidates.resize(ids.size());
     for (std::size_t i = 0; i < ids.size(); ++i) {
-        const Communication &comm = comms_.get(ids[i]);
-        candidates[i] = readCandidatesFor(comm, sc.readStore[i]);
+        candidates[i] = side.candidates(comms_.get(ids[i]), buf.store[i]);
         if (ids[i] == constrain) {
-            std::vector<ReadStub> &store = sc.readStore[i];
+            std::vector<Stub> &store = buf.store[i];
             if (candidates[i].data() != store.data())
                 store.assign(candidates[i].begin(), candidates[i].end());
-            std::erase_if(store, [&](const ReadStub &stub) {
-                return machine_.readPortRegFile(stub.readPort) != wantRf;
+            std::erase_if(store, [&](const Stub &stub) {
+                return side.regFileOf(stub) != wantRf;
             });
             candidates[i] = store;
         }
     }
 
-    // Bounded depth-first search. On success every level's acquisition
-    // is held and choice[] names it; on failure everything acquired is
-    // released again (the shared failure path below restores the
-    // previous assignments). With useCbj the search consults the same
-    // candidates in the same order and charges the budget at the same
-    // per-candidate points, but a dead level unwinds straight to the
-    // deepest level its rejections actually blame; the skipped
-    // subtrees are provably solution-free, so a false result is exact,
-    // and a success reached through a multi-level jump is re-run in
-    // plain chronological mode so the committed winner is always the
-    // legacy one (DESIGN.md §5d).
-    auto &choice = sc.choice;
-    auto &conflict = sc.conflict;
-    auto release_all = [&](std::size_t level) {
-        while (level > 0) {
-            --level;
-            Communication &held = comms_.get(ids[level]);
-            doReleaseRead(candidates[level][choice[level]], held.reader,
-                          held.slot, issueCycleOf(held.reader));
-        }
-    };
-    auto run_dfs = [&](bool useCbj, bool &jumped) -> bool {
-        int budget = options_.permutationBudget;
-        choice.assign(ids.size(), -1);
-        conflict.assign(ids.size(), 0);
-        std::size_t level = 0;
-        while (true) {
-            if (level == ids.size())
-                return true;
-            Communication &comm = comms_.get(ids[level]);
-            int reader_cycle = issueCycleOf(comm.reader);
-            // Cooperative cancellation rides the budget: zeroing it
-            // makes this expansion step take the existing exhaustion
-            // rollback, so an abort costs one relaxed load per DFS
-            // step and nothing on the candidate loop.
-            if (abortRequested())
-                budget = 0;
-            ++hot_.dfsNodes;
-            bool advanced = false;
-            for (int next = choice[level] + 1;
-                 next < static_cast<int>(candidates[level].size());
-                 ++next) {
-                if (--budget <= 0)
-                    break;
-                const ReadStub &stub = candidates[level][next];
-                // A write stub on this bus rejects any read outright;
-                // skip the probe (the probe's own first check, made
-                // O(1) here). Writes only come from the base row —
-                // this search acquires reads — so no level is blamed.
-                if (reservations_.busHasWrite(stub.bus, reader_cycle)) {
-                    ++hot_.pruneReadBus;
-                    continue;
-                }
-                ++hot_.probeReads;
-                if (reservations_.canAcquireRead(stub, comm.reader,
-                                                 comm.slot,
-                                                 reader_cycle)) {
-                    doAcquireRead(stub, comm.reader, comm.slot,
-                                  reader_cycle);
-                    choice[level] = next;
-                    ++level;
-                    advanced = true;
-                    break;
-                }
-                if (useCbj) {
-                    // Blame the deepest acquired level whose stub
-                    // rejects this candidate under the pairwise
-                    // sharing rules (one culprit suffices: every
-                    // rejection rule is a two-party violation). No
-                    // culprit means the base row alone rejects it —
-                    // permanently, since the DFS only adds
-                    // reservations and rejections are monotone.
-                    for (std::size_t l = level; l-- > 0;) {
-                        const Communication &other = comms_.get(ids[l]);
-                        const ReadStub &held = candidates[l][choice[l]];
-                        if (readStubsShareResource(held, stub) ||
-                            (other.reader == comm.reader &&
-                             other.slot == comm.slot)) {
-                            conflict[level] |= std::uint64_t{1} << l;
-                            break;
-                        }
-                    }
-                }
-            }
-            if (advanced)
-                continue;
-            if (budget <= 0) {
-                ++hot_.permBudgetExhausted;
-                release_all(level);
-                return false;
-            }
-            if (level == 0)
-                return false;
-            std::uint64_t mask = useCbj
-                                     ? conflict[level]
-                                     : std::uint64_t{1} << (level - 1);
-            if (mask == 0) {
-                // Every candidate of this level fell to base-row
-                // content alone: no assignment of the other levels can
-                // revive it, so the whole search is infeasible.
-                release_all(level);
-                return false;
-            }
-            auto target =
-                static_cast<std::size_t>(std::bit_width(mask)) - 1;
-            if (useCbj) {
-                conflict[target] |=
-                    mask & ~(std::uint64_t{1} << target);
-                if (target + 1 < level) {
-                    ++hot_.backjumps;
-                    hot_.backjumpLevelsSkipped += level - 1 - target;
-                    jumped = true;
-                }
-            }
-            choice[level] = -1;
-            conflict[level] = 0;
-            while (true) {
-                --level;
-                Communication &held = comms_.get(ids[level]);
-                doReleaseRead(candidates[level][choice[level]],
-                              held.reader, held.slot,
-                              issueCycleOf(held.reader));
-                ++hot_.permBacktracks;
-                if (level == target)
-                    break; // resume its candidate scan at choice + 1
-                choice[level] = -1;
-                conflict[level] = 0;
-            }
-        }
-    };
-
-    bool use_cbj = options_.conflictBackjumping && ids.size() <= 64;
-    bool jumped = false;
-    std::uint64_t budgetExhaustedBefore = hot_.permBudgetExhausted;
-    bool success = run_dfs(use_cbj, jumped);
-    if (success && jumped) {
-        // The solution was reached through at least one multi-level
-        // jump, which spends less budget than stepwise unwinding would
-        // have: the chronological search might have exhausted its
-        // budget first. Re-run it plain (fresh budget, identical
-        // inputs) and let that outcome stand — by construction it is
-        // exactly the legacy result.
-        release_all(ids.size());
-        ++hot_.cbjReruns;
-        success = run_dfs(false, jumped);
-    }
-    if (!success) {
-        // Classify the rejection. An aborted search was already noted
-        // at the latch; a budget trip is a search-policy limit, not a
-        // port fact; everything else exhausted the read-port space.
-        if (!aborted_) {
-            noteReject(hot_.permBudgetExhausted > budgetExhaustedBefore
-                           ? RejectReason::BudgetExhausted
-                           : RejectReason::ReadPortConflict);
-        }
-        // Restore previous stubs (everything acquired is already
-        // released) and learn the failure unless an abort caused it.
+    // Failure epilogue: restore the previous stubs (everything the
+    // search acquired is already released) and learn the failure
+    // unless an abort caused it. State is restored, so a deferred
+    // signature computed now equals the one a probe at entry would
+    // have seen.
+    auto give_up = [&] {
         for (std::size_t i = 0; i < ids.size(); ++i) {
-            Communication &held = comms_.get(ids[i]);
             if (previous[i]) {
-                doAcquireRead(*previous[i], held.reader, held.slot,
-                              issueCycleOf(held.reader));
+                const Communication &comm = comms_.get(ids[i]);
+                side.acquire(comm, *previous[i], side.cycleOf(comm));
             }
         }
         if (options_.noGoodCache) {
-            // State is restored; the signature computed now equals the
-            // one a probe at entry would have seen.
             if (!sigValid)
-                sig = readSearchSignature(ids, cycle, constrain, wantRf);
+                sig = side.signature(ids, cycle, constrain, wantRf);
             noteNoGood(sig);
         }
         return false;
+    };
+    if (!side.precheck(sc, cycle))
+        return give_up();
+
+    // Bounded chronological depth-first search. On success every
+    // level's acquisition is held and choice[] names it. The budget is
+    // charged once per candidate considered, pruned or probed.
+    auto &choice = sc.choice;
+    choice.assign(ids.size(), -1);
+    int budget = options_.permutationBudget;
+    bool budgetTripped = false;
+    std::size_t level = 0;
+    while (level < ids.size()) {
+        const Communication &comm = comms_.get(ids[level]);
+        int at = side.cycleOf(comm);
+        // Cooperative cancellation rides the budget: zeroing it makes
+        // this expansion step take the exhaustion rollback, so an
+        // abort costs one relaxed load per DFS step and nothing on the
+        // candidate loop.
+        if (abortRequested())
+            budget = 0;
+        ++hot_.dfsNodes;
+        std::span<const Stub> level_cands = candidates[level];
+        bool advanced = false;
+        for (int next = choice[level] + 1;
+             next < static_cast<int>(level_cands.size()); ++next) {
+            if (--budget <= 0)
+                break;
+            const Stub &stub = level_cands[next];
+            if (side.prune(comm, stub, at) || !side.probe(comm, stub, at))
+                continue;
+            side.acquire(comm, stub, at);
+            choice[level] = next;
+            advanced = true;
+            break;
+        }
+        if (advanced) {
+            ++level;
+            continue;
+        }
+        if (budget <= 0) {
+            ++hot_.permBudgetExhausted;
+            budgetTripped = true;
+            break;
+        }
+        if (level == 0)
+            break;
+        // Dead level: step back and resume the previous level's scan
+        // at its next candidate.
+        choice[level] = -1;
+        --level;
+        const Communication &held = comms_.get(ids[level]);
+        side.release(held, candidates[level][choice[level]],
+                     side.cycleOf(held));
+        ++hot_.permBacktracks;
+    }
+
+    if (level < ids.size()) {
+        while (level > 0) {
+            --level;
+            const Communication &held = comms_.get(ids[level]);
+            side.release(held, candidates[level][choice[level]],
+                         side.cycleOf(held));
+        }
+        // An aborted search was already classified at the latch.
+        if (!aborted_)
+            noteReject(side.failure(sc, budgetTripped));
+        return give_up();
     }
 
     for (std::size_t i = 0; i < ids.size(); ++i)
-        setReadStub(ids[i], candidates[i][choice[i]]);
-    ++hot_.readPermsFound;
+        side.commit(ids[i], candidates[i][choice[i]]);
+    side.noteFound();
     return true;
 }
 
 bool
-BlockScheduler::permuteWriteStubsImpl(int cycle, CommId constrain,
-                                      RegFileId wantRf)
+BlockScheduler::permuteReadStubs(int cycle)
 {
-    ScratchGuard guard(*this);
-    PermScratch &sc = guard.sc;
-    std::vector<CommId> &ids = sc.ids;
-    commsWritingAt(cycle, ids);
-    if (constrain.valid() &&
-        std::find(ids.begin(), ids.end(), constrain) == ids.end()) {
-        return false;
-    }
-    if (ids.empty())
-        return true;
-    CS_TRACE_SPAN1("perm_search.write", "comms", ids.size());
+    return permuteStubs<ReadSide>(cycle, CommId(), RegFileId());
+}
 
-    auto &order = sc.orderKeys;
-    order.clear();
-    order.reserve(ids.size());
-    for (CommId id : ids) {
-        const Communication &comm = comms_.get(id);
-        bool closing =
-            isScheduled(comm.reader) && comm.readStub.has_value();
-        int range = INT_MAX;
-        if (closing) {
-            range = issueCycleOf(comm.reader) + comm.distance * ii_ -
-                    (issueCycleOf(comm.writer) +
-                     latencyOf(comm.writer));
-        }
-        order.emplace_back(packCommOrderKey(!closing, range), id);
-    }
-    std::sort(order.begin(), order.end(),
-              [](const auto &a, const auto &b) {
-                  return a.first != b.first
-                             ? a.first < b.first
-                             : a.second.index() < b.second.index();
-              });
-    for (std::size_t i = 0; i < ids.size(); ++i)
-        ids[i] = order[i].second;
-
-    // No-good probe; see the read search for the exactness and the
-    // lazy-signature arguments. The bus-usability precheck below is
-    // also covered: it reads only hashed inputs (candidate stubs,
-    // values) and the hashed row.
-    std::uint64_t sig = 0;
-    bool sigValid = false;
-    if (options_.noGoodCache && noGoods_.size() != 0) {
-        sig = writeSearchSignature(ids, cycle, constrain, wantRf);
-        sigValid = true;
-        if (noGoodHit(sig)) {
-            noteReject(RejectReason::NoGoodHit);
-            return false;
-        }
-    }
-
-    auto &previous = sc.prevWrite;
-    previous.assign(ids.size(), std::nullopt);
-    for (std::size_t i = 0; i < ids.size(); ++i) {
-        Communication &comm = comms_.get(ids[i]);
-        previous[i] = comm.writeStub;
-        if (comm.writeStub) {
-            doReleaseWrite(*comm.writeStub, comm.value,
-                           writeStubCycleOf(comm.writer));
-        }
-    }
-
-    if (sc.writeStore.size() < ids.size())
-        sc.writeStore.resize(ids.size());
-    auto &candidates = sc.writeCands;
-    candidates.resize(ids.size());
-    for (std::size_t i = 0; i < ids.size(); ++i) {
-        const Communication &comm = comms_.get(ids[i]);
-        candidates[i] = writeCandidatesFor(comm, sc.writeStore[i]);
-        if (ids[i] == constrain) {
-            std::vector<WriteStub> &store = sc.writeStore[i];
-            if (candidates[i].data() != store.data())
-                store.assign(candidates[i].begin(), candidates[i].end());
-            std::erase_if(store, [&](const WriteStub &stub) {
-                return machine_.writePortRegFile(stub.writePort) !=
-                       wantRf;
-            });
-            candidates[i] = store;
-        }
-    }
-
-    // Fast infeasibility check: different values never share a bus,
-    // so the distinct values here need at least as many usable buses
-    // (idle, or already carrying one of these values in write role)
-    // among the candidate stubs.
-    {
-        auto &distinct = sc.distinctValues;
-        distinct.clear();
-        for (CommId id : ids) {
-            ValueId v = comms_.get(id).value;
-            if (std::find(distinct.begin(), distinct.end(), v) ==
-                distinct.end()) {
-                distinct.push_back(v);
-            }
-        }
-        // One pass collects the buses any candidate stub touches; the
-        // availability probes then run per bus, not per stub.
-        InlineBitset &cand_buses = sc.candidateBuses;
-        cand_buses.resize(machine_.numBuses());
-        for (const auto &list : candidates) {
-            for (const WriteStub &stub : list)
-                cand_buses.set(stub.bus.index());
-        }
-        std::size_t usable_count = 0;
-        for (std::size_t b = 0; b < machine_.numBuses(); ++b) {
-            if (!cand_buses.test(b))
-                continue;
-            BusId bus(static_cast<std::uint32_t>(b));
-            for (ValueId v : distinct) {
-                if (reservations_.busAvailableForValue(bus, v, cycle)) {
-                    ++usable_count;
-                    break;
-                }
-            }
-        }
-        if (distinct.size() > usable_count) {
-            ++hot_.writePermBusPrechecks;
-            noteReject(RejectReason::BusConflict);
-            for (std::size_t i = 0; i < ids.size(); ++i) {
-                const Communication &held = comms_.get(ids[i]);
-                if (previous[i]) {
-                    doAcquireWrite(*previous[i], held.value,
-                                   writeStubCycleOf(held.writer));
-                }
-            }
-            if (options_.noGoodCache) {
-                if (!sigValid) {
-                    sig = writeSearchSignature(ids, cycle, constrain,
-                                               wantRf);
-                }
-                noteNoGood(sig);
-            }
-            return false;
-        }
-    }
-
-    // Bounded depth-first search; structure and exactness argument as
-    // in the read search above. The write-side conflict attribution
-    // mirrors canAcquireWrite's sharing rules: against an acquired
-    // stub of the same value, only an identical stub is shareable
-    // (same output port, no same-file clash); against a different
-    // value, any shared resource rejects.
-    auto &choice = sc.choice;
-    auto &conflict = sc.conflict;
-    auto release_all = [&](std::size_t level) {
-        while (level > 0) {
-            --level;
-            Communication &held = comms_.get(ids[level]);
-            doReleaseWrite(candidates[level][choice[level]], held.value,
-                           writeStubCycleOf(held.writer));
-        }
-    };
-    auto run_dfs = [&](bool useCbj, bool &jumped) -> bool {
-        int budget = options_.permutationBudget;
-        choice.assign(ids.size(), -1);
-        conflict.assign(ids.size(), 0);
-        std::size_t level = 0;
-        while (true) {
-            if (level == ids.size())
-                return true;
-            Communication &comm = comms_.get(ids[level]);
-            int write_cycle = writeStubCycleOf(comm.writer);
-            // Same cancellation-as-budget trick as the read search.
-            if (abortRequested())
-                budget = 0;
-            ++hot_.dfsNodes;
-            bool advanced = false;
-            for (int next = choice[level] + 1;
-                 next < static_cast<int>(candidates[level].size());
-                 ++next) {
-                if (--budget <= 0)
-                    break;
-                const WriteStub &stub = candidates[level][next];
-                // A read stub on the bus rejects this stub no matter
-                // what else is reserved, and reads only come from the
-                // base row (this search acquires writes): static.
-                ReservationTable::BusWriteProbe bus_probe =
-                    reservations_.busWriteProbe(stub.bus, write_cycle);
-                if (bus_probe.hasRead) {
-                    ++hot_.pruneWriteBus;
-                    continue;
-                }
-                ValueId on_bus = bus_probe.value;
-                if (on_bus.valid() && on_bus != comm.value) {
-                    ++hot_.pruneWriteBus;
-                    if (useCbj) {
-                        // The clashing write may be an acquired level
-                        // (then blame the deepest such) or base
-                        // content (then static).
-                        for (std::size_t l = level; l-- > 0;) {
-                            if (candidates[l][choice[l]].bus ==
-                                stub.bus) {
-                                conflict[level] |= std::uint64_t{1}
-                                                   << l;
-                                break;
-                            }
-                        }
-                    }
-                    continue;
-                }
-                ++hot_.probeWrites;
-                if (reservations_.canAcquireWrite(stub, comm.value,
-                                                  write_cycle)) {
-                    doAcquireWrite(stub, comm.value, write_cycle);
-                    choice[level] = next;
-                    ++level;
-                    advanced = true;
-                    break;
-                }
-                if (useCbj) {
-                    for (std::size_t l = level; l-- > 0;) {
-                        const Communication &other = comms_.get(ids[l]);
-                        const WriteStub &held = candidates[l][choice[l]];
-                        bool clash;
-                        if (other.value == comm.value) {
-                            clash = held != stub &&
-                                    (sameResultWriteStubsConflict(
-                                         machine_, held, stub) ||
-                                     held.output != stub.output);
-                        } else {
-                            clash = writeStubsShareResource(held, stub);
-                        }
-                        if (clash) {
-                            conflict[level] |= std::uint64_t{1} << l;
-                            break;
-                        }
-                    }
-                }
-            }
-            if (advanced)
-                continue;
-            if (budget <= 0) {
-                ++hot_.permBudgetExhausted;
-                release_all(level);
-                return false;
-            }
-            if (level == 0)
-                return false;
-            std::uint64_t mask = useCbj
-                                     ? conflict[level]
-                                     : std::uint64_t{1} << (level - 1);
-            if (mask == 0) {
-                release_all(level);
-                return false;
-            }
-            auto target =
-                static_cast<std::size_t>(std::bit_width(mask)) - 1;
-            if (useCbj) {
-                conflict[target] |=
-                    mask & ~(std::uint64_t{1} << target);
-                if (target + 1 < level) {
-                    ++hot_.backjumps;
-                    hot_.backjumpLevelsSkipped += level - 1 - target;
-                    jumped = true;
-                }
-            }
-            choice[level] = -1;
-            conflict[level] = 0;
-            while (true) {
-                --level;
-                Communication &held = comms_.get(ids[level]);
-                doReleaseWrite(candidates[level][choice[level]],
-                               held.value,
-                               writeStubCycleOf(held.writer));
-                ++hot_.permBacktracks;
-                if (level == target)
-                    break;
-                choice[level] = -1;
-                conflict[level] = 0;
-            }
-        }
-    };
-
-    bool use_cbj = options_.conflictBackjumping && ids.size() <= 64;
-    bool jumped = false;
-    std::uint64_t budgetExhaustedBefore = hot_.permBudgetExhausted;
-    bool success = run_dfs(use_cbj, jumped);
-    if (success && jumped) {
-        release_all(ids.size());
-        ++hot_.cbjReruns;
-        success = run_dfs(false, jumped);
-    }
-    if (!success) {
-        // Classify: abort already noted at the latch; a communication
-        // with no candidate write stubs at all is the "no serviceable
-        // write stub" case (nothing the other levels choose can fix
-        // an empty list); a budget trip is a policy limit; the rest
-        // exhausted the write-port space.
-        if (!aborted_) {
-            bool emptyList = false;
-            for (const auto &list : candidates)
-                emptyList = emptyList || list.empty();
-            noteReject(
-                emptyList ? RejectReason::NoServiceableWriteStub
-                : hot_.permBudgetExhausted > budgetExhaustedBefore
-                    ? RejectReason::BudgetExhausted
-                    : RejectReason::WritePortConflict);
-        }
-        for (std::size_t i = 0; i < ids.size(); ++i) {
-            Communication &held = comms_.get(ids[i]);
-            if (previous[i]) {
-                doAcquireWrite(*previous[i], held.value,
-                               writeStubCycleOf(held.writer));
-            }
-        }
-        if (options_.noGoodCache) {
-            if (!sigValid)
-                sig = writeSearchSignature(ids, cycle, constrain, wantRf);
-            noteNoGood(sig);
-        }
-        return false;
-    }
-
-    for (std::size_t i = 0; i < ids.size(); ++i)
-        setWriteStub(ids[i], candidates[i][choice[i]]);
-    ++hot_.writePermsFound;
-    return true;
+bool
+BlockScheduler::permuteWriteStubs(int cycle)
+{
+    return permuteStubs<WriteSide>(cycle, CommId(), RegFileId());
 }
 
 bool
@@ -1233,8 +1052,8 @@ BlockScheduler::tryRetargetWriteSide(Communication &comm,
     const Placement &wp = schedule_.placement(comm.writer);
     if (!machine_.writableMask(wp.fu).test(wantRf.index()))
         return false;
-    return permuteWriteStubsImpl(writeStubCycleOf(comm.writer), comm.id,
-                                 wantRf);
+    return permuteStubs<WriteSide>(writeStubCycleOf(comm.writer), comm.id,
+                                   wantRf);
 }
 
 bool
@@ -1250,8 +1069,8 @@ BlockScheduler::tryRetargetReadSide(Communication &comm,
             : machine_.readableMask(rp.fu, comm.slot);
     if (!readable.test(wantRf.index()))
         return false;
-    return permuteReadStubsImpl(issueCycleOf(comm.reader), comm.id,
-                                wantRf);
+    return permuteStubs<ReadSide>(issueCycleOf(comm.reader), comm.id,
+                                  wantRf);
 }
 
 } // namespace cs

@@ -15,7 +15,7 @@ namespace cs::serve {
 
 namespace {
 
-constexpr std::uint32_t kJobSetFormatVersion = 1;
+constexpr std::uint32_t kJobSetFormatVersion = 2;
 constexpr std::int64_t kMaxIndex = 1 << 20;
 
 // -------------------------------------------------------------------
@@ -46,8 +46,6 @@ printOptions(std::ostream &os, const SchedulerOptions &opt,
        << (opt.retryVariants ? "true" : "false") << "\n";
     os << in2 << "no_good_cache "
        << (opt.noGoodCache ? "true" : "false") << "\n";
-    os << in2 << "conflict_backjumping "
-       << (opt.conflictBackjumping ? "true" : "false") << "\n";
     os << in2 << "cross_attempt_no_goods "
        << (opt.crossAttemptNoGoods ? "true" : "false") << "\n";
     os << indent << "}\n";
@@ -123,8 +121,6 @@ parseOptionsBody(wire::TextScanner &scanner, SchedulerOptions *opt)
             scanner.boolean(&opt->retryVariants);
         } else if (key == "no_good_cache") {
             scanner.boolean(&opt->noGoodCache);
-        } else if (key == "conflict_backjumping") {
-            scanner.boolean(&opt->conflictBackjumping);
         } else if (key == "cross_attempt_no_goods") {
             scanner.boolean(&opt->crossAttemptNoGoods);
         } else if (key.empty()) {
@@ -149,7 +145,6 @@ encodeOptions(wire::ByteWriter &writer, const SchedulerOptions &opt)
     writer.u64(opt.copyAttemptBudget);
     writer.boolean(opt.retryVariants);
     writer.boolean(opt.noGoodCache);
-    writer.boolean(opt.conflictBackjumping);
     writer.boolean(opt.crossAttemptNoGoods);
 }
 
@@ -166,7 +161,6 @@ decodeOptions(wire::ByteReader &reader, SchedulerOptions *opt)
     opt->copyAttemptBudget = reader.u64();
     opt->retryVariants = reader.boolean();
     opt->noGoodCache = reader.boolean();
-    opt->conflictBackjumping = reader.boolean();
     opt->crossAttemptNoGoods = reader.boolean();
     if (reader.failed())
         return false;

@@ -1,18 +1,10 @@
 /**
  * @file
- * The adaptive II-search layer (pipeline/adaptive.hpp) and the
- * restart-on-explosion mode (core/modulo_scheduler.hpp).
- *
- * Two different contracts are pinned here. Adaptive ordering is
- * *exact*: it may only permute attempt launch order and bound the
- * speculation window, so its tests assert byte-identical listings and
- * fixed-order equivalence (the golden suites in
+ * The adaptive II-search layer (pipeline/adaptive.hpp). Adaptive
+ * ordering is *exact*: it may only permute attempt launch order and
+ * bound the speculation window, so its tests assert byte-identical
+ * listings and fixed-order equivalence (the golden suites in
  * test_modulo_parallel.cpp gate the same invariant end to end).
- * Restarts are *not* exact — retained no-goods redistribute attempt
- * budgets, which may legitimately change which schedule is found — so
- * restart results are pinned by what cannot legally vary: the search
- * succeeds, the schedule passes the independent validator, the II
- * respects MII, and the whole thing is deterministic run to run.
  */
 
 #include <gtest/gtest.h>
@@ -36,24 +28,6 @@
 
 namespace cs {
 namespace {
-
-// ---------------------------------------------------------------- Luby
-
-TEST(Luby, CanonicalPrefix)
-{
-    const std::uint64_t expected[] = {1, 1, 2, 1, 1, 2, 4, 1, 1, 2,
-                                      1, 1, 2, 4, 8, 1, 1, 2, 1};
-    for (std::size_t i = 0; i < std::size(expected); ++i)
-        EXPECT_EQ(lubySequence(i + 1), expected[i]) << "i=" << i + 1;
-}
-
-TEST(Luby, PowersAppearAtTheirPositions)
-{
-    // u_(2^k - 1) = 2^(k-1): the subsequence of fresh maxima.
-    for (std::uint64_t k = 1; k <= 20; ++k)
-        EXPECT_EQ(lubySequence((std::uint64_t{1} << k) - 1),
-                  std::uint64_t{1} << (k - 1));
-}
 
 // ------------------------------------------------------------- planner
 
@@ -204,10 +178,8 @@ TEST(AdaptivePortfolio, ShapeKeySeparatesMachinesAndSizes)
 
 TEST(AdaptiveCacheKey, NewOptionsPerturbTheJobKey)
 {
-    // The content-addressed cache must not serve a restart-mode result
-    // to a default-mode request (restart results may legally differ),
-    // and flipping adaptivity must re-key as well (cheap insurance,
-    // though results cannot differ).
+    // Flipping adaptivity must re-key the content-addressed cache
+    // (cheap insurance, though results cannot differ).
     Machine central = makeCentral();
     ScheduleJob a;
     a.kernel = allKernels().front().build();
@@ -216,14 +188,6 @@ TEST(AdaptiveCacheKey, NewOptionsPerturbTheJobKey)
 
     ScheduleJob b = a;
     b.options.adaptiveOrdering = !a.options.adaptiveOrdering;
-    EXPECT_NE(scheduleJobKey(a), scheduleJobKey(b));
-
-    b = a;
-    b.options.restartOnExplosion = true;
-    EXPECT_NE(scheduleJobKey(a), scheduleJobKey(b));
-
-    b = a;
-    b.options.restartBaseNodes = a.options.restartBaseNodes * 2;
     EXPECT_NE(scheduleJobKey(a), scheduleJobKey(b));
 }
 
@@ -338,78 +302,6 @@ TEST(NoGoodExchangeTsan, CapacityBoundsPublishing)
         batch[i] = i + 1;
     exchange.publish(batch);
     EXPECT_EQ(exchange.size(), NoGoodExchange::kCapacity);
-}
-
-// ------------------------------------------------------------ restarts
-
-/** Smallest Table-1 kernel whose winning clustered2 attempt burns
- *  enough DFS nodes that a tiny Luby budget must trip. */
-const KernelSpec *
-hardKernelOn(const Machine &machine, std::uint64_t minNodes)
-{
-    for (const KernelSpec &spec : allKernels()) {
-        Kernel kernel = spec.build();
-        PipelineResult base =
-            schedulePipelined(kernel, BlockId(0), machine);
-        if (base.success &&
-            base.inner.stats.get("dfs_nodes") >= minNodes)
-            return &spec;
-    }
-    return nullptr;
-}
-
-TEST(Restart, DefaultOff)
-{
-    EXPECT_FALSE(SchedulerOptions{}.restartOnExplosion);
-}
-
-TEST(Restart, ForcedRestartsStillProduceAValidSchedule)
-{
-    setVerboseLogging(false);
-    Machine machine = makeClustered({}, 2);
-    const KernelSpec *spec = hardKernelOn(machine, 2000);
-    if (spec == nullptr)
-        GTEST_SKIP() << "no kernel expensive enough to force restarts";
-    Kernel kernel = spec->build();
-
-    SchedulerOptions options;
-    options.restartOnExplosion = true;
-    options.restartBaseNodes = 64; // far below the observed search
-
-    PipelineResult restarted =
-        schedulePipelined(kernel, BlockId(0), machine, options);
-    ASSERT_TRUE(restarted.success) << spec->name;
-    EXPECT_GT(restarted.inner.stats.get("restarts"), 0u)
-        << spec->name << ": the tiny Luby budget never tripped";
-
-    // The exactness pins restart mode *can* honor: a legal schedule
-    // (independent validator), at a legal II, deterministically.
-    EXPECT_TRUE(validateSchedule(restarted.inner.kernel, machine,
-                                 restarted.inner.schedule)
-                    .empty());
-    EXPECT_GE(restarted.ii,
-              std::max(restarted.resMii, restarted.recMii));
-
-    PipelineResult again =
-        schedulePipelined(kernel, BlockId(0), machine, options);
-    ASSERT_TRUE(again.success);
-    EXPECT_EQ(again.ii, restarted.ii);
-    EXPECT_EQ(exportListing(again.inner.kernel, machine,
-                            again.inner.schedule),
-              exportListing(restarted.inner.kernel, machine,
-                            restarted.inner.schedule));
-}
-
-TEST(Restart, LatchIsInvisibleWhenDisabled)
-{
-    // With the mode off, runAttemptWithRestarts is exactly one run:
-    // identical listing and no "restarts" counter.
-    setVerboseLogging(false);
-    Machine machine = makeCentral();
-    Kernel kernel = allKernels().front().build();
-    PipelineResult base = schedulePipelined(kernel, BlockId(0), machine);
-    ASSERT_TRUE(base.success);
-    EXPECT_EQ(base.inner.stats.get("restarts"), 0u);
 }
 
 // ---------------------------------------------- serial-inline (warmed)

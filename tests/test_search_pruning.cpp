@@ -1,9 +1,9 @@
 /**
  * @file
  * Toggle-equivalence for the failure-learning layer (DESIGN.md §5d):
- * the no-good cache, conflict-directed backjumping and cross-attempt
- * no-good reuse are exact accelerations — turning any of them off may
- * change wall time, never a schedule. Seeded random kernels scheduled
+ * the no-good cache and cross-attempt no-good reuse are exact
+ * accelerations — turning either of them off may change wall time,
+ * never a schedule. Seeded random kernels scheduled
  * on every standard machine must produce byte-identical canonical
  * listings and identical budget-exhaustion outcomes with pruning
  * forced off versus on, for plain blocks and for the pipelined sweep
@@ -100,11 +100,10 @@ standardMachines()
 }
 
 SchedulerOptions
-withPruning(bool noGood, bool backjump, bool crossAttempt)
+withPruning(bool noGood, bool crossAttempt)
 {
     SchedulerOptions options;
     options.noGoodCache = noGood;
-    options.conflictBackjumping = backjump;
     options.crossAttemptNoGoods = crossAttempt;
     return options;
 }
@@ -114,15 +113,14 @@ std::vector<SchedulerOptions>
 ablations()
 {
     return {
-        withPruning(false, false, false), // everything off
-        withPruning(true, false, false),  // cache only
-        withPruning(false, true, false),  // backjumping only
+        withPruning(false, false), // everything off
+        withPruning(true, false),  // cache only, no cross-attempt reuse
     };
 }
 
 TEST(SearchPruning, BlockListingsIdenticalOffVsOn)
 {
-    SchedulerOptions reference = withPruning(true, true, true);
+    SchedulerOptions reference = withPruning(true, true);
     for (std::uint64_t seed : testSeeds()) {
         Kernel kernel = randomKernel(seed, 20, false);
         ASSERT_TRUE(verifyKernel(kernel).empty());
@@ -160,7 +158,7 @@ TEST(SearchPruning, PipelinedListingsIdenticalOffVsOn)
     // Carried kernels through the modulo sweep: the II search seeds
     // each attempt from the cross-attempt exchange, so this covers
     // no-good migration between attempts, not just within one run.
-    SchedulerOptions reference = withPruning(true, true, true);
+    SchedulerOptions reference = withPruning(true, true);
     for (std::uint64_t seed : testSeeds()) {
         Kernel kernel = randomKernel(seed, 12, true);
         ASSERT_TRUE(verifyKernel(kernel).empty());
@@ -197,13 +195,12 @@ TEST(SearchPruning, BudgetExhaustionOutcomesIdentical)
     for (std::uint64_t seed : testSeeds()) {
         Kernel kernel = randomKernel(seed, 20, false);
         Machine machine = makeDistributed();
-        SchedulerOptions on = withPruning(true, true, true);
+        SchedulerOptions on = withPruning(true, true);
         on.perOpAttemptBudget = 40;
         on.permutationBudget = 60;
         on.copyAttemptBudget = 10;
         SchedulerOptions off = on;
         off.noGoodCache = false;
-        off.conflictBackjumping = false;
         off.crossAttemptNoGoods = false;
 
         ScheduleResult a = scheduleBlock(kernel, BlockId(0), machine,
@@ -294,7 +291,6 @@ TEST(SearchPruning, DefaultOptionsEnableAllPruning)
     // guards that the defaults actually exercise the pruning layer.
     SchedulerOptions defaults;
     EXPECT_TRUE(defaults.noGoodCache);
-    EXPECT_TRUE(defaults.conflictBackjumping);
     EXPECT_TRUE(defaults.crossAttemptNoGoods);
 }
 

