@@ -321,12 +321,8 @@ runTelemetryBench(int reps, double arrivalMs)
         TelemetryConfig telemetry;
         telemetry.path = telemetryPath.string();
         telemetry.intervalMs = ab.samplerIntervalMs;
-        CS_ASSERT(sampler.start(
-                      telemetry,
-                      [&server] { return server.counterSnapshot(); },
-                      [&server](std::ostream &os) {
-                          server.writeTelemetryFields(os);
-                      }),
+        CS_ASSERT(sampler.start(telemetry,
+                                [&server] { return server.snapshot(); }),
                   "sampler failed to start");
         std::vector<double> n =
             runPhase(config.socketPath, "", sets, arrivalMs);

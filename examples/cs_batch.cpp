@@ -32,13 +32,16 @@
  *   --trace=FILE    enable the span tracer and write a Chrome
  *                   trace_event JSON file (load in chrome://tracing or
  *                   Perfetto) covering the whole batch
- *   --metrics=FILE  write the unified metrics registry (counters,
- *                   timers, histograms) as JSON
+ *   --metrics=FILE  write the end-of-run metrics snapshot as JSON —
+ *                   the Stats schema of support/metrics.hpp: pipeline
+ *                   and cache-tier counters plus batch.jobs /
+ *                   batch.failures, the batch.round_us and
+ *                   job.wall_us histograms, occupancy gauges
  *   --telemetry=FILE
  *                   run the time-series sampler for the duration of
- *                   the batch: one JSONL snapshot per interval
- *                   (pipeline counters + deltas, RSS, shard sizes,
- *                   cache occupancy — support/telemetry.hpp)
+ *                   the batch: one JSONL snapshot per interval (the
+ *                   same snapshot plus seq, t_ms, RSS and counter
+ *                   deltas — support/telemetry.hpp)
  *   --telemetry-interval-ms N
  *                   sample period (default 250)
  */
@@ -277,11 +280,7 @@ main(int argc, char **argv)
         telemetry.path = args.telemetryFile;
         telemetry.intervalMs = args.telemetryIntervalMs;
         bool ok = sampler.start(
-            telemetry,
-            [&pipeline] { return pipeline.statsSnapshot(); },
-            [&pipeline](std::ostream &os) {
-                pipeline.writeTelemetryJson(os);
-            });
+            telemetry, [&pipeline] { return pipeline.snapshot(); });
         if (!ok) {
             std::cerr << "cs_batch: cannot write telemetry file '"
                       << args.telemetryFile << "'\n";
@@ -300,7 +299,8 @@ main(int argc, char **argv)
             std::chrono::duration<double, std::milli>(end - start)
                 .count();
         totalMs += ms;
-        metrics.recordTimeMs("batch.round", ms);
+        metrics.streamingHistogram("batch.round_us")
+            .record(static_cast<std::uint64_t>(ms * 1000.0));
         std::cout << "round " << (round + 1) << ": "
                   << TextTable::num(ms, 1) << " ms, "
                   << TextTable::num(1000.0 * batch.size() / ms, 1)
@@ -419,24 +419,23 @@ main(int argc, char **argv)
     std::cout << "}}\n";
 
     if (!args.metricsFile.empty()) {
-        metrics.counters().merge(stats);
         metrics.counters().bump("batch.jobs",
                                 results.size() * args.repeat);
         metrics.counters().bump("batch.failures",
                                 static_cast<std::uint64_t>(failures));
-        metrics.counters().bump("cache.hits", cache.hits);
-        metrics.counters().bump("cache.misses", cache.misses);
-        metrics.counters().bump("cache.evictions", cache.evictions);
+        StreamingHistogram &jobWall =
+            metrics.streamingHistogram("job.wall_us");
         for (const JobResult &r : results)
-            metrics.recordTimeMs("job.wall", r.wallMs);
+            jobWall.record(static_cast<std::uint64_t>(r.wallMs * 1000.0));
         std::ofstream out(args.metricsFile);
         if (!out) {
             std::cerr << "cs_batch: cannot write metrics file '"
                       << args.metricsFile << "'\n";
             return 2;
         }
-        metrics.writeJson(out);
-        out << "\n";
+        MetricsSnapshot snapshot = pipeline.snapshot();
+        snapshot.merge(metrics.snapshot());
+        out << snapshot.json() << "\n";
         std::cout << "metrics written to " << args.metricsFile << "\n";
     }
 

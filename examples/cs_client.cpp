@@ -17,11 +17,12 @@
  * negative value exercises the already-expired fast path.
  *
  * "watch" subscribes to the server's stats stream (protocol v2) and
- * prints one line per tick — req/s, p50/p99 latency, warm hit rate,
- * in-flight depth, RSS, shard growth — until interrupted (or after
- * --ticks N frames). --raw prints the server's flat JSON frames
- * verbatim instead, one per line (the telemetry-file schema minus the
- * counters object).
+ * prints one line per tick — req/s and cache hit rate over the tick
+ * (from the frame's deltas and t_ms), p50/p99 latency, in-flight
+ * depth, RSS, shard growth — until interrupted (or after --ticks N
+ * frames). --raw prints the frames verbatim instead, one per line:
+ * each is a telemetry line (support/telemetry.hpp), the same schema
+ * as `cs_serve --telemetry` writes.
  */
 
 #include <cstdio>
@@ -49,19 +50,38 @@ usage(std::ostream &os)
 }
 
 /**
- * Extract one numeric field from a flat JSON object ({"key":123,...}).
- * The watch frames are all-numeric and unnested, so a substring scan
- * is exact here — no JSON library in the repo, none needed.
+ * Extract one numeric member of a JSON object ({"key":123,...}). The
+ * telemetry lines have numeric leaves and unique keys within each
+ * object, so a substring scan is exact here — no JSON library in the
+ * repo, none needed.
  */
 double
-jsonNumber(const std::string &json, const std::string &key,
-           double fallback = 0.0)
+jsonNumber(const std::string &json, const std::string &key)
 {
     std::string needle = "\"" + key + "\":";
     std::size_t pos = json.find(needle);
     if (pos == std::string::npos)
-        return fallback;
+        return 0.0;
     return std::atof(json.c_str() + pos + needle.size());
+}
+
+/** The object text of member @p key ("" when absent). */
+std::string
+jsonObject(const std::string &json, const std::string &key)
+{
+    std::string needle = "\"" + key + "\":{";
+    std::size_t begin = json.find(needle);
+    if (begin == std::string::npos)
+        return "";
+    begin += needle.size() - 1;
+    int depth = 0;
+    for (std::size_t i = begin; i < json.size(); ++i) {
+        if (json[i] == '{')
+            ++depth;
+        else if (json[i] == '}' && --depth == 0)
+            return json.substr(begin, i - begin + 1);
+    }
+    return "";
 }
 
 } // namespace
@@ -153,27 +173,48 @@ main(int argc, char **argv)
     }
     if (command == "watch") {
         int seen = 0;
+        double prevTms = -1.0;
         auto onFrame = [&](const std::string &frame) -> bool {
             if (raw) {
                 std::cout << frame << "\n" << std::flush;
             } else {
-                double p50Ms = jsonNumber(frame, "p50_us") / 1000.0;
-                double p99Ms = jsonNumber(frame, "p99_us") / 1000.0;
-                double hitPct = jsonNumber(frame, "hit_rate") * 100.0;
+                // Rates are over the tick: deltas since the previous
+                // frame. The first frame's deltas are the totals so far
+                // and it has no previous t_ms, so its req/s reads 0.
+                std::string counters = jsonObject(frame, "counters");
+                std::string deltas = jsonObject(frame, "deltas");
+                std::string gauges = jsonObject(frame, "gauges");
+                std::string latency = jsonObject(
+                    jsonObject(frame, "histograms"),
+                    "serve.latency_us.all");
+                double tMs = jsonNumber(frame, "t_ms");
+                double reqPerS =
+                    prevTms >= 0.0 && tMs > prevTms
+                        ? jsonNumber(deltas, "serve.requests") * 1000.0 /
+                              (tMs - prevTms)
+                        : 0.0;
+                prevTms = tMs;
+                double jobs = jsonNumber(deltas, "pipeline.jobs");
+                double hitPct =
+                    jobs > 0.0
+                        ? 100.0 * jsonNumber(deltas, "pipeline.cache_hits") /
+                              jobs
+                        : 0.0;
                 char line[256];
                 std::snprintf(
                     line, sizeof line,
                     "[%5.0f] %7.1f req/s  p50 %7.3f ms  p99 %7.3f ms"
                     "  hit %5.1f%%  inflight %2.0f  rss %6.1f MB"
                     "  shards %.0f rec / %.1f KB  ctx %.0f  dedup %.0f",
-                    jsonNumber(frame, "seq"),
-                    jsonNumber(frame, "req_per_s"), p50Ms, p99Ms,
-                    hitPct, jsonNumber(frame, "inflight"),
+                    jsonNumber(frame, "seq"), reqPerS,
+                    jsonNumber(latency, "p50") / 1000.0,
+                    jsonNumber(latency, "p99") / 1000.0, hitPct,
+                    jsonNumber(gauges, "serve.inflight"),
                     jsonNumber(frame, "rss_kb") / 1024.0,
-                    jsonNumber(frame, "shard_records"),
-                    jsonNumber(frame, "shard_bytes") / 1024.0,
-                    jsonNumber(frame, "context_entries"),
-                    jsonNumber(frame, "dedup_inflight"));
+                    jsonNumber(gauges, "cache.disk.shard_records"),
+                    jsonNumber(gauges, "cache.disk.shard_bytes") / 1024.0,
+                    jsonNumber(counters, "context.entries"),
+                    jsonNumber(gauges, "pipeline.dedup_inflight"));
                 std::cout << line << "\n" << std::flush;
             }
             ++seen;

@@ -11,7 +11,7 @@
  *     it landed, and which consumption it feeds,
  *   - the top-k hottest trace spans (count/total/p50/p95/max).
  *
- *   cs_explain [KERNEL] [MACHINE] [--plain] [--top K] [--list]
+ *   cs_explain [KERNEL] [MACHINE] [--plain] [--top K] [--list] [--help]
  *
  *   KERNEL     Table-1 kernel name, e.g. FIR-FP (default: first kernel)
  *   MACHINE    central | clustered2 | clustered4 | distributed
@@ -19,6 +19,7 @@
  *   --plain    plain block schedule instead of software pipelining
  *   --top K    how many hottest spans to print (default 8)
  *   --list     list kernel and machine names and exit
+ *   --help     print the usage line and exit
  */
 
 #include <iostream>
@@ -46,7 +47,15 @@ struct Args
     bool pipelined = true;
     int top = 8;
     bool list = false;
+    bool help = false;
 };
+
+void
+usage(std::ostream &os)
+{
+    os << "usage: cs_explain [KERNEL] [MACHINE] [--plain] [--top K] "
+          "[--list] [--help]\n";
+}
 
 Args
 parseArgs(int argc, char **argv)
@@ -63,6 +72,8 @@ parseArgs(int argc, char **argv)
             args.top = std::atoi(argv[++i]);
         } else if (arg == "--list") {
             args.list = true;
+        } else if (arg == "--help" || arg == "-h") {
+            args.help = true;
         } else if (!arg.empty() && arg[0] == '-') {
             CS_FATAL("unknown argument '", arg, "'");
         } else if (positional == 0) {
@@ -109,9 +120,12 @@ main(int argc, char **argv)
     try {
         args = parseArgs(argc, argv);
     } catch (const FatalError &) {
-        std::cerr << "usage: cs_explain [KERNEL] [MACHINE] [--plain] "
-                     "[--top K] [--list]\n";
+        usage(std::cerr);
         return 2;
+    }
+    if (args.help) {
+        usage(std::cout);
+        return 0;
     }
 
     if (args.list) {

@@ -32,10 +32,10 @@
  *   --no-fast-path    disable the reader-thread warm-hit fast path
  *                     (for A/B latency measurements)
  *   --telemetry FILE  append one JSONL telemetry snapshot per interval
- *                     (counters + deltas, RSS, latency quantiles,
- *                     per-shard sizes — support/telemetry.hpp); the
- *                     final line lands on drain. `cs_client watch` is
- *                     the live-over-the-wire view of the same data
+ *                     (counters + deltas, RSS, latency histograms,
+ *                     occupancy gauges — support/telemetry.hpp); the
+ *                     final line lands on drain. `cs_client watch`
+ *                     streams the same lines over the wire
  *   --telemetry-interval-ms N
  *                     sample period (default 250)
  */
@@ -155,10 +155,7 @@ main(int argc, char **argv)
     TelemetrySampler sampler;
     if (!telemetry.path.empty()) {
         bool ok = sampler.start(
-            telemetry, [&server] { return server.counterSnapshot(); },
-            [&server](std::ostream &os) {
-                server.writeTelemetryFields(os);
-            });
+            telemetry, [&server] { return server.snapshot(); });
         if (!ok) {
             std::cerr << "cs_serve: cannot write telemetry file '"
                       << telemetry.path << "'\n";

@@ -277,11 +277,7 @@ main(int argc, char **argv)
         telemetry.path = args.telemetryFile;
         telemetry.intervalMs = args.telemetryIntervalMs;
         bool ok = sampler.start(
-            telemetry,
-            [&pipeline] { return pipeline.statsSnapshot(); },
-            [&pipeline](std::ostream &os) {
-                pipeline.writeTelemetryJson(os);
-            });
+            telemetry, [&pipeline] { return pipeline.snapshot(); });
         if (!ok) {
             std::cerr << "cs_sweep: cannot write telemetry file '"
                       << args.telemetryFile << "'\n";

@@ -545,19 +545,14 @@ PersistentScheduleCache::diskStats() const
     return diskStats_;
 }
 
-std::vector<PersistentScheduleCache::ShardInfo>
-PersistentScheduleCache::shardInfos() const
+PersistentScheduleCache::ShardTotals
+PersistentScheduleCache::shardTotals() const
 {
-    std::vector<ShardInfo> out;
-    out.reserve(shards_.size());
+    ShardTotals out;
     for (const auto &shard : shards_) {
         std::lock_guard<std::mutex> lock(shard->mutex);
-        ShardInfo info;
-        info.path = shard->path;
-        info.bytes = shard->appendPos;
-        info.records = shard->index.size();
-        info.owned = shard->owned;
-        out.push_back(std::move(info));
+        out.bytes += shard->appendPos;
+        out.records += shard->index.size();
     }
     return out;
 }

@@ -138,6 +138,12 @@ class PersistentScheduleCache
      */
     std::optional<JobResult> lookup(std::uint64_t key);
 
+    /** Memory tier only, counting nothing (ScheduleCache::peek). */
+    std::optional<JobResult> peekMemory(std::uint64_t key) const
+    {
+        return memory_.peek(key);
+    }
+
     /**
      * Insert into both tiers. The disk write is a single append on the
      * owned shard, completed before the call returns; a record that
@@ -183,22 +189,20 @@ class PersistentScheduleCache
     DiskStats diskStats() const;
 
     /**
-     * Point-in-time view of one shard file, for telemetry: bytes is
-     * the records region (the next append offset, excluding any index
-     * footer), records is the *indexed* count — last-wins per key, so
-     * overwritten duplicates are not counted.
+     * Point-in-time size of the shard files, for telemetry: bytes is
+     * the records regions (each next append offset, excluding any
+     * index footer), records the *indexed* count — last-wins per key,
+     * so overwritten duplicates are not counted.
      */
-    struct ShardInfo
+    struct ShardTotals
     {
-        std::string path;
         std::uint64_t bytes = 0;
         std::uint64_t records = 0;
-        bool owned = false;
     };
 
-    /** Snapshot every shard (empty when the disk tier is disabled).
+    /** Sum over every shard (zero when the disk tier is disabled).
      *  Takes each shard mutex briefly; safe against live traffic. */
-    std::vector<ShardInfo> shardInfos() const;
+    ShardTotals shardTotals() const;
 
     /** Whether a disk tier is configured. */
     bool persistent() const { return !shards_.empty(); }

@@ -2,11 +2,9 @@
 
 #include <chrono>
 #include <condition_variable>
-#include <ostream>
 #include <thread>
 
 #include "support/logging.hpp"
-#include "support/metrics.hpp"
 #include "support/trace.hpp"
 
 namespace cs {
@@ -88,12 +86,26 @@ SchedulingPipeline::submit(ScheduleJob job,
         });
 }
 
+bool
+SchedulingPipeline::submitMiss(ScheduleJob job, std::uint64_t key,
+                               std::function<void(JobResult)> done)
+{
+    return pool_.submit(
+        [this, job = std::move(job), key, done = std::move(done)] {
+            done(runMiss(job, key));
+        });
+}
+
 std::optional<JobResult>
 SchedulingPipeline::lookupCached(const ScheduleJob &job)
 {
-    auto start = std::chrono::steady_clock::now();
-    std::uint64_t key = scheduleJobKey(job);
+    return lookupCached(scheduleJobKey(job));
+}
 
+std::optional<JobResult>
+SchedulingPipeline::lookupCached(std::uint64_t key)
+{
+    auto start = std::chrono::steady_clock::now();
     std::optional<JobResult> cached = cache_.lookup(key);
     if (!cached.has_value())
         return std::nullopt;
@@ -130,7 +142,7 @@ SchedulingPipeline::scheduleOne(const ScheduleJob &job)
 
 JobResult
 SchedulingPipeline::joinInFlight(const ScheduleJob &job,
-                                 InFlightJob &flight)
+                                 std::uint64_t key, InFlightJob &flight)
 {
     auto start = std::chrono::steady_clock::now();
     {
@@ -145,9 +157,8 @@ SchedulingPipeline::joinInFlight(const ScheduleJob &job,
                 out.wallMs = std::chrono::duration<double, std::milli>(
                                  end - start)
                                  .count();
-                stats_.bump("pipeline.jobs");
-                stats_.bump("pipeline.dedup_joins");
                 stats_.bump("pipeline.cancelled");
+                countJoined(out);
                 return out;
             }
             // Timed wait only to poll the abort flag; an unarmed job
@@ -164,10 +175,7 @@ SchedulingPipeline::joinInFlight(const ScheduleJob &job,
             out.wallMs =
                 std::chrono::duration<double, std::milli>(end - start)
                     .count();
-            stats_.bump("pipeline.jobs");
-            stats_.bump("pipeline.dedup_joins");
-            if (!out.success)
-                stats_.bump("pipeline.failures");
+            countJoined(out);
             return out;
         }
     }
@@ -175,16 +183,8 @@ SchedulingPipeline::joinInFlight(const ScheduleJob &job,
     // ours. Schedule for ourselves (rare: only under cancellation).
     JobResult result = scheduleOne(job);
     if (!result.cancelled)
-        cache_.insert(scheduleJobKey(job), result);
-    stats_.bump("pipeline.jobs");
-    stats_.bump("pipeline.cache_misses");
-    if (result.cancelled)
-        stats_.bump("pipeline.cancelled");
-    if (!result.success)
-        stats_.bump("pipeline.failures");
-    if (!result.verifierErrors.empty())
-        stats_.bump("pipeline.verifier_rejects");
-    stats_.merge(result.sched.stats);
+        cache_.insert(key, result);
+    countScheduled(result);
     return result;
 }
 
@@ -194,10 +194,15 @@ SchedulingPipeline::runOne(const ScheduleJob &job)
     // The hit path *is* the serving fast path: runOne and the
     // reader-thread probe in serve/server.cpp must count and shape
     // hits identically, so both go through lookupCached.
-    if (std::optional<JobResult> cached = lookupCached(job))
-        return *cached;
-
     std::uint64_t key = scheduleJobKey(job);
+    if (std::optional<JobResult> cached = lookupCached(key))
+        return *cached;
+    return runMiss(job, key);
+}
+
+JobResult
+SchedulingPipeline::runMiss(const ScheduleJob &job, std::uint64_t key)
+{
     CS_TRACE_INSTANT1("cache_probe", "hit", 0);
 
     // Singleflight: concurrent duplicates all miss the cache (the
@@ -206,16 +211,35 @@ SchedulingPipeline::runOne(const ScheduleJob &job)
     std::shared_ptr<InFlightJob> flight;
     bool leader = true;
     if (dedupInFlight_) {
+        auto start = std::chrono::steady_clock::now();
         std::lock_guard<std::mutex> lock(inflightMutex_);
-        auto [it, inserted] = inflight_.try_emplace(key);
-        if (inserted)
-            it->second = std::make_shared<InFlightJob>();
+        auto it = inflight_.find(key);
+        if (it == inflight_.end()) {
+            // A leader for this key may have finished between our
+            // probe and now (a served miss waits in the queue); it
+            // inserted before retiring its key, so adopt that result
+            // as a late join instead of scheduling again. peekMemory
+            // counts nothing: the probe already counted this job's
+            // tier lookups.
+            if (std::optional<JobResult> late = cache_.peekMemory(key)) {
+                auto end = std::chrono::steady_clock::now();
+                late->cacheHit = false;
+                late->wallMs =
+                    std::chrono::duration<double, std::milli>(end - start)
+                        .count();
+                countJoined(*late);
+                return *late;
+            }
+            it = inflight_.emplace(key, std::make_shared<InFlightJob>())
+                     .first;
+        } else {
+            leader = false;
+        }
         flight = it->second;
-        leader = inserted;
     }
     if (!leader) {
         CS_TRACE_INSTANT1("dedup_join", "hit", 1);
-        return joinInFlight(job, *flight);
+        return joinInFlight(job, key, *flight);
     }
 
     JobResult result = scheduleOne(job);
@@ -226,8 +250,8 @@ SchedulingPipeline::runOne(const ScheduleJob &job)
 
     if (flight != nullptr) {
         // Retire the key first so late arrivals start a fresh run (or
-        // hit the cache) instead of attaching to a completed flight,
-        // then publish for the joiners already attached.
+        // adopt the cached result) instead of attaching to a completed
+        // flight, then publish for the joiners already attached.
         {
             std::lock_guard<std::mutex> lock(inflightMutex_);
             inflight_.erase(key);
@@ -239,7 +263,13 @@ SchedulingPipeline::runOne(const ScheduleJob &job)
         }
         flight->cv.notify_all();
     }
+    countScheduled(result);
+    return result;
+}
 
+void
+SchedulingPipeline::countScheduled(const JobResult &result)
+{
     stats_.bump("pipeline.jobs");
     stats_.bump("pipeline.cache_misses");
     if (result.cancelled)
@@ -249,7 +279,15 @@ SchedulingPipeline::runOne(const ScheduleJob &job)
     if (!result.verifierErrors.empty())
         stats_.bump("pipeline.verifier_rejects");
     stats_.merge(result.sched.stats);
-    return result;
+}
+
+void
+SchedulingPipeline::countJoined(const JobResult &result)
+{
+    stats_.bump("pipeline.jobs");
+    stats_.bump("pipeline.dedup_joins");
+    if (!result.success && !result.cancelled)
+        stats_.bump("pipeline.failures");
 }
 
 CounterSet
@@ -258,36 +296,23 @@ SchedulingPipeline::statsSnapshot() const
     return stats_;
 }
 
-std::size_t
-SchedulingPipeline::inflightDepth() const
+MetricsSnapshot
+SchedulingPipeline::snapshot() const
 {
+    MetricsSnapshot out;
+    out.addCounters(stats_);
+    out.addCounters(toCounterSet(cache_.stats()), "cache.memory.");
+    out.addCounters(toCounterSet(cache_.diskStats()), "cache.disk.");
+    out.addCounters(toCounterSet(contextCache_.stats()), "context.");
+    PersistentScheduleCache::ShardTotals shards = cache_.shardTotals();
+    out.gauges["cache.disk.shard_bytes"] =
+        static_cast<std::int64_t>(shards.bytes);
+    out.gauges["cache.disk.shard_records"] =
+        static_cast<std::int64_t>(shards.records);
     std::lock_guard<std::mutex> lock(inflightMutex_);
-    return inflight_.size();
-}
-
-void
-SchedulingPipeline::writeTelemetryJson(std::ostream &os) const
-{
-    std::uint64_t totalBytes = 0;
-    std::uint64_t totalRecords = 0;
-    os << ",\"shards\":[";
-    bool first = true;
-    for (const auto &info : cache_.shardInfos()) {
-        if (!first)
-            os << ",";
-        first = false;
-        os << "{\"path\":";
-        writeJsonQuoted(os, info.path);
-        os << ",\"bytes\":" << info.bytes
-           << ",\"records\":" << info.records << ",\"owned\":"
-           << (info.owned ? "true" : "false") << "}";
-        totalBytes += info.bytes;
-        totalRecords += info.records;
-    }
-    os << "],\"shard_bytes\":" << totalBytes
-       << ",\"shard_records\":" << totalRecords
-       << ",\"context_entries\":" << contextCache_.stats().entries
-       << ",\"dedup_inflight\":" << inflightDepth();
+    out.gauges["pipeline.dedup_inflight"] =
+        static_cast<std::int64_t>(inflight_.size());
+    return out;
 }
 
 } // namespace cs

@@ -22,7 +22,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <iosfwd>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -34,6 +33,7 @@
 #include "pipeline/job.hpp"
 #include "pipeline/persistent_cache.hpp"
 #include "pipeline/thread_pool.hpp"
+#include "support/metrics.hpp"
 #include "support/stats.hpp"
 
 namespace cs {
@@ -141,11 +141,23 @@ class SchedulingPipeline
      * (cacheHit set, fresh lookup wall time, the same pipeline.jobs /
      * pipeline.cache_hits / pipeline.failures counter bumps) — without
      * touching the worker pool. A miss returns nullopt and bumps
-     * *nothing*: the caller is expected to fall back to submit(),
-     * whose runOne() then counts the miss once. Safe to call
-     * concurrently from any thread.
+     * *nothing* in the pipeline counters: the caller is expected to
+     * fall back to submitMiss() (or submit()), which counts the miss
+     * once. Safe to call concurrently from any thread.
      */
     std::optional<JobResult> lookupCached(const ScheduleJob &job);
+
+    /** lookupCached() by a precomputed key (scheduleJobKey(job)). */
+    std::optional<JobResult> lookupCached(std::uint64_t key);
+
+    /**
+     * submit() for a job whose lookupCached(@p key) just missed: the
+     * worker skips the cache probe and schedules under @p key, so a
+     * served cold request hashes its key once and probes each cache
+     * tier once.
+     */
+    bool submitMiss(ScheduleJob job, std::uint64_t key,
+                    std::function<void(JobResult)> done);
 
     /** Block until every submitted job has completed. */
     void waitIdle() { pool_.waitIdle(); }
@@ -167,18 +179,16 @@ class SchedulingPipeline
      */
     CounterSet statsSnapshot() const;
 
-    /** Jobs currently scheduling (in-flight dedup map occupancy). */
-    std::size_t inflightDepth() const;
-
     /**
-     * Append the pipeline's occupancy telemetry as leading-comma JSON
-     * fields — `,"shards":[{"path":..,"bytes":..,"records":..,
-     * "owned":..},...],"shard_bytes":..,"shard_records":..,
-     * "context_entries":..,"dedup_inflight":..` — the shape the
-     * telemetry sampler's extras closure and the server's watch
-     * frames both emit. Safe to call concurrently with workers.
+     * The pipeline's metrics view: statsSnapshot()'s counters, the
+     * cache tiers' counters prefixed cache.memory.* / cache.disk.* /
+     * context.* (the tiers share counter names, so the prefixes keep
+     * the merge collision-free), and occupancy gauges —
+     * cache.disk.shard_bytes, cache.disk.shard_records (summed over
+     * the shard files) and pipeline.dedup_inflight (jobs currently
+     * scheduling). Safe to call concurrently with workers.
      */
-    void writeTelemetryJson(std::ostream &os) const;
+    MetricsSnapshot snapshot() const;
 
     unsigned numThreads() const { return pool_.size(); }
 
@@ -187,10 +197,17 @@ class SchedulingPipeline
     struct InFlightJob;
 
     JobResult runOne(const ScheduleJob &job);
+    /** runOne() after the cache probe for @p key missed. */
+    JobResult runMiss(const ScheduleJob &job, std::uint64_t key);
     /** Schedule (no cache probe), via the shared analysis cache. */
     JobResult scheduleOne(const ScheduleJob &job);
     /** Block until the leader finishes, then adopt its result. */
-    JobResult joinInFlight(const ScheduleJob &job, InFlightJob &flight);
+    JobResult joinInFlight(const ScheduleJob &job, std::uint64_t key,
+                           InFlightJob &flight);
+    /** Count one job that scheduled (a miss) and merge its counters. */
+    void countScheduled(const JobResult &result);
+    /** Count one job that adopted another run's result. */
+    void countJoined(const JobResult &result);
 
     // Workers touch the caches and stats_ until the pools join, so
     // all must be declared before the pools (destroyed after them).

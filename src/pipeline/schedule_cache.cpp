@@ -20,6 +20,16 @@ ScheduleCache::lookup(std::uint64_t key)
     return it->second->second;
 }
 
+std::optional<JobResult>
+ScheduleCache::peek(std::uint64_t key) const
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    auto it = index_.find(key);
+    if (it == index_.end())
+        return std::nullopt;
+    return it->second->second;
+}
+
 void
 ScheduleCache::insert(std::uint64_t key, const JobResult &result)
 {

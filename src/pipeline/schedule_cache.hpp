@@ -49,6 +49,12 @@ class ScheduleCache
     std::optional<JobResult> lookup(std::uint64_t key);
 
     /**
+     * lookup() that counts nothing and leaves the LRU order alone: a
+     * second look at a key whose lookup() was already counted.
+     */
+    std::optional<JobResult> peek(std::uint64_t key) const;
+
+    /**
      * Store a result, evicting the least-recently-used entry when
      * full. Inserting an existing key refreshes the stored value. The
      * cacheHit/wallMs fields stored are returned verbatim on later

@@ -15,7 +15,6 @@
 #include <utility>
 
 #include "support/logging.hpp"
-#include "support/telemetry.hpp"
 #include "support/trace.hpp"
 
 namespace cs::serve {
@@ -461,7 +460,11 @@ ScheduleServer::handleRequest(
         return;
     }
 
+    // The fast path hashes the job once; a miss hands that key on to
+    // submitMiss. Without the fast path the worker hashes and probes.
+    std::uint64_t key = 0;
     if (config_.readerFastPath) {
+        key = scheduleJobKey(jobSetToScheduleJobs(request.jobs).front());
         // Warm-hit fast path: probe the cache here on the reader
         // thread and reply without the pipeline queue hop. Exactness:
         // lookupCached is the same code runOne dispatches through, so
@@ -469,11 +472,9 @@ ScheduleServer::handleRequest(
         // identical to the dispatched path — only the hop is gone. A
         // hit holds no worker and is never rejected (it occupies an
         // in-flight slot only for the microseconds of the probe and
-        // reply); a miss falls through and pays one redundant (cheap)
-        // cache probe.
-        ScheduleJob probe = jobSetToScheduleJobs(request.jobs).front();
-        if (std::optional<JobResult> hit =
-                pipeline_.lookupCached(probe)) {
+        // reply); a miss is handed to submitMiss, which does not probe
+        // again.
+        if (std::optional<JobResult> hit = pipeline_.lookupCached(key)) {
             metrics_.counters().bump("serve.fast_path_hits");
             summarizeResult(*hit, &response);
             if (!hit->success) {
@@ -484,7 +485,6 @@ ScheduleServer::handleRequest(
                 metrics_.counters().bump("serve.ok");
                 response.status = ResponseStatus::Ok;
             }
-            metrics_.recordTimeMs("serve.request", hit->wallMs);
             phaseAdmit_->record(elapsedUs(decoded, Clock::now()));
             replyAndFinish(latencyWarm_);
             return;
@@ -523,48 +523,50 @@ ScheduleServer::handleRequest(
     ScheduleJob job = jobSetToScheduleJobs(state->jobs).front();
     job.abortFlag = &state->abort;
     state->dispatched = Clock::now();
-    bool submitted = pipeline_.submit(
-        std::move(job), [this, state](JobResult result) {
-            auto completed = Clock::now();
-            Response reply;
-            reply.requestId = state->requestId;
-            reply.serverRequestId = state->serverRequestId;
-            summarizeResult(result, &reply);
-            if (result.cancelled) {
-                metrics_.counters().bump("serve.deadline_preempted");
-                reply.status = ResponseStatus::DeadlineExceeded;
-                reply.message = "deadline expired during scheduling";
-            } else if (!result.success) {
-                metrics_.counters().bump("serve.errors");
-                reply.status = ResponseStatus::Error;
-                reply.message = result.sched.failure;
-            } else {
-                metrics_.counters().bump("serve.ok");
-                reply.status = ResponseStatus::Ok;
-            }
-            metrics_.recordTimeMs("serve.request", result.wallMs);
-            // Phase split: wallMs is the pure scheduling time the
-            // pipeline measured; what else passed since dispatch is
-            // queueing (worker wait + dedup joins).
-            auto scheduleUs = static_cast<std::uint64_t>(
-                result.wallMs > 0.0 ? result.wallMs * 1000.0 : 0.0);
-            std::uint64_t sinceDispatch =
-                elapsedUs(state->dispatched, completed);
-            phaseSchedule_->record(scheduleUs);
-            phaseQueue_->record(sinceDispatch > scheduleUs
-                                    ? sinceDispatch - scheduleUs
-                                    : 0);
-            auto beforeReply = Clock::now();
-            sendResponse(state->conn, reply, state->protocolVersion);
-            auto afterReply = Clock::now();
-            phaseReply_->record(elapsedUs(beforeReply, afterReply));
-            std::uint64_t totalUs =
-                elapsedUs(state->received, afterReply);
-            (result.cancelled ? latencyDeadline_ : latencyDispatched_)
-                ->record(totalUs);
-            latencyAll_->record(totalUs);
-            finishRequest();
-        });
+    auto done = [this, state](JobResult result) {
+        auto completed = Clock::now();
+        Response reply;
+        reply.requestId = state->requestId;
+        reply.serverRequestId = state->serverRequestId;
+        summarizeResult(result, &reply);
+        if (result.cancelled) {
+            metrics_.counters().bump("serve.deadline_preempted");
+            reply.status = ResponseStatus::DeadlineExceeded;
+            reply.message = "deadline expired during scheduling";
+        } else if (!result.success) {
+            metrics_.counters().bump("serve.errors");
+            reply.status = ResponseStatus::Error;
+            reply.message = result.sched.failure;
+        } else {
+            metrics_.counters().bump("serve.ok");
+            reply.status = ResponseStatus::Ok;
+        }
+        // Phase split: wallMs is the pure scheduling time the
+        // pipeline measured; what else passed since dispatch is
+        // queueing (worker wait + dedup joins).
+        auto scheduleUs = static_cast<std::uint64_t>(
+            result.wallMs > 0.0 ? result.wallMs * 1000.0 : 0.0);
+        std::uint64_t sinceDispatch =
+            elapsedUs(state->dispatched, completed);
+        phaseSchedule_->record(scheduleUs);
+        phaseQueue_->record(sinceDispatch > scheduleUs
+                                ? sinceDispatch - scheduleUs
+                                : 0);
+        auto beforeReply = Clock::now();
+        sendResponse(state->conn, reply, state->protocolVersion);
+        auto afterReply = Clock::now();
+        phaseReply_->record(elapsedUs(beforeReply, afterReply));
+        std::uint64_t totalUs =
+            elapsedUs(state->received, afterReply);
+        (result.cancelled ? latencyDeadline_ : latencyDispatched_)
+            ->record(totalUs);
+        latencyAll_->record(totalUs);
+        finishRequest();
+    };
+    bool submitted =
+        config_.readerFastPath
+            ? pipeline_.submitMiss(std::move(job), key, std::move(done))
+            : pipeline_.submit(std::move(job), std::move(done));
     if (!submitted) {
         metrics_.counters().bump("serve.shutting_down");
         response.status = ResponseStatus::ShuttingDown;
@@ -672,10 +674,8 @@ ScheduleServer::startWatch(const std::shared_ptr<Connection> &conn,
     if (ms < 10)
         ms = 10;
     sub->interval = std::chrono::milliseconds(ms);
-    auto now = std::chrono::steady_clock::now();
-    sub->nextDue = now; // first frame immediately (it is the ack)
-    sub->prevTime = now;
-    sub->prevRequests = metrics_.counters().get("serve.requests");
+    // First frame immediately (it is the ack).
+    sub->nextDue = std::chrono::steady_clock::now();
     {
         std::lock_guard<std::mutex> lock(watchMutex_);
         if (watchStop_)
@@ -683,55 +683,6 @@ ScheduleServer::startWatch(const std::shared_ptr<Connection> &conn,
         watches_.push_back(std::move(sub));
     }
     watchCv_.notify_all();
-}
-
-std::string
-ScheduleServer::watchFrameJson(WatchSubscription &sub)
-{
-    auto now = std::chrono::steady_clock::now();
-    const CounterSet &counters = metrics_.counters();
-    std::uint64_t requests = counters.get("serve.requests");
-    double dt = std::chrono::duration<double>(now - sub.prevTime)
-                    .count();
-    double reqPerS =
-        dt > 0.0 ? static_cast<double>(requests - sub.prevRequests) / dt
-                 : 0.0;
-    sub.prevRequests = requests;
-    sub.prevTime = now;
-    std::uint64_t warmHits = counters.get("serve.fast_path_hits");
-    std::uint64_t warmMisses = counters.get("serve.fast_path_misses");
-    double hitRate =
-        warmHits + warmMisses
-            ? static_cast<double>(warmHits) /
-                  static_cast<double>(warmHits + warmMisses)
-            : 0.0;
-    HistogramSummary latency =
-        summarizeHistogram(latencyAll_->snapshot());
-    std::uint64_t shardBytes = 0;
-    std::uint64_t shardRecords = 0;
-    for (const auto &info : pipeline_.cache().shardInfos()) {
-        shardBytes += info.bytes;
-        shardRecords += info.records;
-    }
-    std::ostringstream os;
-    os << "{\"seq\":" << sub.seq++
-       << ",\"interval_ms\":" << sub.interval.count()
-       << ",\"requests_total\":" << requests
-       << ",\"req_per_s\":" << reqPerS
-       << ",\"ok_total\":" << counters.get("serve.ok")
-       << ",\"errors_total\":" << counters.get("serve.errors")
-       << ",\"inflight\":" << inFlight_.load()
-       << ",\"warm_hits_total\":" << warmHits
-       << ",\"hit_rate\":" << hitRate
-       << ",\"p50_us\":" << latency.p50
-       << ",\"p99_us\":" << latency.p99
-       << ",\"max_us\":" << latency.max
-       << ",\"rss_kb\":" << readRssKb()
-       << ",\"shard_bytes\":" << shardBytes
-       << ",\"shard_records\":" << shardRecords << ",\"context_entries\":"
-       << pipeline_.contextCache().stats().entries
-       << ",\"dedup_inflight\":" << pipeline_.inflightDepth() << "}";
-    return os.str();
 }
 
 void
@@ -773,7 +724,9 @@ ScheduleServer::watchLoop()
                 frame.requestId = sub->requestId;
                 frame.serverRequestId = sub->serverRequestId;
                 frame.status = ResponseStatus::Ok;
-                frame.message = watchFrameJson(*sub);
+                std::ostringstream line;
+                sub->stream.writeLine(line, snapshot());
+                frame.message = line.str();
                 sendResponse(sub->conn, frame);
             }
             lock.lock();
@@ -786,82 +739,21 @@ ScheduleServer::watchLoop()
     }
 }
 
-CounterSet
-ScheduleServer::counterSnapshot() const
+MetricsSnapshot
+ScheduleServer::snapshot() const
 {
-    CounterSet out = metrics_.counters();
-    out.merge(pipeline_.statsSnapshot());
-    auto addPrefixed = [&out](const char *prefix,
-                              const CounterSet &tier) {
-        tier.forEach(
-            [&out, prefix](const std::string &name, std::uint64_t v) {
-                out.bump(std::string(prefix) + name, v);
-            });
-    };
-    addPrefixed("cache.memory.", toCounterSet(pipeline_.cache().stats()));
-    addPrefixed("cache.disk.",
-                toCounterSet(pipeline_.cache().diskStats()));
-    addPrefixed("context.",
-                toCounterSet(pipeline_.contextCache().stats()));
+    MetricsSnapshot out = pipeline_.snapshot();
+    out.merge(metrics_.snapshot());
     return out;
 }
 
-void
-ScheduleServer::writeTelemetryFields(std::ostream &os) const
+CounterSet
+ScheduleServer::counterSnapshot() const
 {
-    os << ",\"inflight\":" << inFlight_.load() << ",\"latency\":{";
-    bool first = true;
-    for (const auto &[name, snapshot] : metrics_.streamingSnapshot()) {
-        if (!first)
-            os << ",";
-        first = false;
-        writeJsonQuoted(os, name);
-        os << ":";
-        writeHistogramSummary(os, summarizeHistogram(snapshot));
-    }
-    os << "}";
-    pipeline_.writeTelemetryJson(os);
-}
-
-std::string
-ScheduleServer::statsJson() const
-{
-    ScheduleCache::Stats memory = pipeline_.cache().stats();
-    PersistentScheduleCache::DiskStats disk =
-        pipeline_.cache().diskStats();
-    CounterSet pipelineStats = pipeline_.statsSnapshot();
-
-    static const char *const kServeCounters[] = {
-        "serve.requests",         "serve.schedule_requests",
-        "serve.fast_path_hits",   "serve.fast_path_misses",
-        "serve.ok",               "serve.errors",
-        "serve.rejected_overload", "serve.deadline_preempted",
-        "serve.deadline_expired", "serve.shutting_down",
-        "serve.bad_requests",     "serve.pings",
-        "serve.stats_requests",   "serve.connections",
-        "serve.frames_in",        "serve.frames_out",
-        "serve.write_errors",     "serve.watch_requests",
-    };
-    static const char *const kPipelineCounters[] = {
-        "pipeline.jobs",      "pipeline.cache_hits",
-        "pipeline.cache_misses", "pipeline.dedup_joins",
-        "pipeline.failures",  "pipeline.cancelled",
-    };
-
-    std::ostringstream os;
-    os << "{\"serve\":";
-    writeCounterObject(os, metrics_.counters(), kServeCounters);
-    os << ",\"pipeline\":";
-    writeCounterObject(os, pipelineStats, kPipelineCounters);
-    os << ",\"cache\":{\"memory\":";
-    writeCounterObject(os, toCounterSet(memory), kMemoryCacheCounters);
-    os << ",\"disk\":";
-    writeCounterObject(os, toCounterSet(disk), kDiskCacheCounters);
-    os << ",\"context\":";
-    writeCounterObject(os, toCounterSet(pipeline_.contextCache().stats()),
-                       kContextCacheCounters);
-    os << "}}";
-    return os.str();
+    CounterSet out;
+    for (const auto &[name, value] : snapshot().counters)
+        out.bump(name, value);
+    return out;
 }
 
 } // namespace cs::serve

@@ -45,6 +45,7 @@
 #include "pipeline/pipeline.hpp"
 #include "serve/proto.hpp"
 #include "support/metrics.hpp"
+#include "support/telemetry.hpp"
 
 namespace cs::serve {
 
@@ -132,28 +133,22 @@ class ScheduleServer
      */
     int boundTcpPort() const { return boundTcpPort_; }
 
-    /** Serving + pipeline + cache counters as one JSON object. */
-    std::string statsJson() const;
-
     /**
-     * One flat CounterSet across the whole server, for the telemetry
-     * sampler: the serve.* counters, the pipeline counters, and the
-     * cache tiers prefixed as cache.memory.* / cache.disk.* /
-     * context.* (the tiers share counter names, so the prefixes keep
-     * the merge collision-free).
+     * The server's metrics view: the pipeline's snapshot
+     * (SchedulingPipeline::snapshot) plus the serve.* counters, the
+     * serve.latency_us.* / serve.phase_us.* histograms and the
+     * serve.inflight gauge. Stats replies, Watch frames and the
+     * telemetry sampler all print this one snapshot.
      */
+    MetricsSnapshot snapshot() const;
+
+    /** The Stats reply: snapshot() as one JSON object. */
+    std::string statsJson() const { return snapshot().json(); }
+
+    /** snapshot()'s counters as a CounterSet. */
     CounterSet counterSnapshot() const;
 
-    /**
-     * Append the server's occupancy/latency telemetry as
-     * leading-comma JSON fields — inflight depth, every streaming
-     * histogram's quantile summary, and the pipeline's shard/cache
-     * fields (SchedulingPipeline::writeTelemetryJson). This is the
-     * extras closure cs_serve hands the TelemetrySampler.
-     */
-    void writeTelemetryFields(std::ostream &os) const;
-
-    /** Serving metrics (counters + request timers). */
+    /** Serving metrics (counters, lifecycle histograms, gauges). */
     const MetricsRegistry &metrics() const { return metrics_; }
 
     SchedulingPipeline &pipeline() { return pipeline_; }
@@ -184,7 +179,7 @@ class ScheduleServer
         std::chrono::steady_clock::time_point dispatched{};
     };
 
-    /** One live Watch stream (v2): periodic stats frames until the
+    /** One live Watch stream (v2): periodic telemetry lines until the
      *  connection closes or a write fails. */
     struct WatchSubscription
     {
@@ -193,10 +188,8 @@ class ScheduleServer
         std::uint64_t serverRequestId = 0;
         std::chrono::milliseconds interval{1000};
         std::chrono::steady_clock::time_point nextDue{};
-        std::uint64_t seq = 0;
-        /** Previous tick's totals, for per-tick rates. */
-        std::uint64_t prevRequests = 0;
-        std::chrono::steady_clock::time_point prevTime{};
+        /** This subscription's seq, clock and delta state. */
+        TelemetryStream stream;
     };
 
     void acceptLoop(std::atomic<int> &listenFd, bool tcp);
@@ -211,8 +204,6 @@ class ScheduleServer
     void startWatch(const std::shared_ptr<Connection> &conn,
                     const Request &request,
                     std::uint64_t serverRequestId);
-    /** One-line flat JSON stats frame for a Watch tick. */
-    std::string watchFrameJson(WatchSubscription &sub);
     bool sendResponse(const std::shared_ptr<Connection> &conn,
                       const Response &response,
                       std::uint8_t peerVersion = kProtocolVersion);

@@ -3,92 +3,74 @@
 #include <algorithm>
 #include <cstring>
 #include <ostream>
+#include <sstream>
+#include <vector>
 
 namespace cs {
 
 namespace {
 
-double
-percentile(const std::vector<double> &sorted, double p)
-{
-    std::size_t idx = static_cast<std::size_t>(
-        p * static_cast<double>(sorted.size() - 1) + 0.5);
-    return sorted[idx];
-}
-
-std::map<std::string, DistributionStats>
-summarizeAll(const std::map<std::string, std::vector<double>> &samples)
-{
-    std::map<std::string, DistributionStats> out;
-    for (const auto &[name, values] : samples)
-        out.emplace(name, summarizeDistribution(values));
-    return out;
-}
-
+/** Write a name-keyed map as one JSON object, values via @p value. */
+template <typename Map, typename WriteValue>
 void
-writeDistributionObject(std::ostream &os,
-                        const std::map<std::string, DistributionStats> &m,
-                        const char *unitSuffix)
+writeObject(std::ostream &os, const Map &map, WriteValue value)
 {
     os << "{";
     bool first = true;
-    for (const auto &[name, d] : m) {
+    for (const auto &[name, v] : map) {
         if (!first)
             os << ",";
         first = false;
         writeJsonQuoted(os, name);
-        os << ":{\"count\":" << d.count << ",\"total" << unitSuffix
-           << "\":" << d.total << ",\"p50" << unitSuffix << "\":" << d.p50
-           << ",\"p95" << unitSuffix << "\":" << d.p95 << ",\"max"
-           << unitSuffix << "\":" << d.max << "}";
+        os << ":";
+        value(v);
     }
     os << "}";
 }
 
 } // namespace
 
-DistributionStats
-summarizeDistribution(std::vector<double> samples)
+void
+MetricsSnapshot::addCounters(const CounterSet &set,
+                             const std::string &prefix)
 {
-    DistributionStats stats;
-    if (samples.empty())
-        return stats;
-    std::sort(samples.begin(), samples.end());
-    stats.count = samples.size();
-    for (double v : samples)
-        stats.total += v;
-    stats.p50 = percentile(samples, 0.50);
-    stats.p95 = percentile(samples, 0.95);
-    stats.max = samples.back();
-    return stats;
+    set.forEach([&](const std::string &name, std::uint64_t value) {
+        counters[prefix + name] += value;
+    });
 }
 
 void
-MetricsRegistry::recordTimeMs(const std::string &name, double ms)
+MetricsSnapshot::merge(const MetricsSnapshot &other)
 {
-    std::lock_guard<std::mutex> lock(mutex_);
-    timers_[name].push_back(ms);
+    for (const auto &[name, value] : other.counters)
+        counters[name] += value;
+    for (const auto &[name, summary] : other.histograms)
+        histograms[name] = summary;
+    for (const auto &[name, value] : other.gauges)
+        gauges[name] = value;
 }
 
 void
-MetricsRegistry::recordValue(const std::string &name, double value)
+MetricsSnapshot::writeFields(std::ostream &os) const
 {
-    std::lock_guard<std::mutex> lock(mutex_);
-    histograms_[name].push_back(value);
+    os << "\"counters\":";
+    writeObject(os, counters, [&os](std::uint64_t v) { os << v; });
+    os << ",\"histograms\":";
+    writeObject(os, histograms, [&os](const HistogramSummary &s) {
+        writeHistogramSummary(os, s);
+    });
+    os << ",\"gauges\":";
+    writeObject(os, gauges, [&os](std::int64_t v) { os << v; });
 }
 
-std::map<std::string, DistributionStats>
-MetricsRegistry::timerSnapshot() const
+std::string
+MetricsSnapshot::json() const
 {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return summarizeAll(timers_);
-}
-
-std::map<std::string, DistributionStats>
-MetricsRegistry::histogramSnapshot() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return summarizeAll(histograms_);
+    std::ostringstream os;
+    os << "{";
+    writeFields(os);
+    os << "}";
+    return os.str();
 }
 
 StreamingHistogram &
@@ -121,45 +103,18 @@ MetricsRegistry::gauge(const std::string &name)
     return *slot;
 }
 
-std::map<std::string, std::int64_t>
-MetricsRegistry::gaugeSnapshot() const
+MetricsSnapshot
+MetricsRegistry::snapshot() const
 {
-    std::map<std::string, std::int64_t> out;
+    MetricsSnapshot out;
+    out.addCounters(counters_);
     std::lock_guard<std::mutex> lock(mutex_);
+    for (const auto &[name, histogram] : streaming_)
+        out.histograms.emplace(name,
+                               summarizeHistogram(histogram->snapshot()));
     for (const auto &[name, value] : gauges_)
-        out.emplace(name, value->load(std::memory_order_relaxed));
+        out.gauges.emplace(name, value->load(std::memory_order_relaxed));
     return out;
-}
-
-void
-MetricsRegistry::writeJson(std::ostream &os) const
-{
-    os << "{\"counters\":";
-    writeAllCounters(os, counters_);
-    os << ",\"timers\":";
-    writeDistributionObject(os, timerSnapshot(), "_ms");
-    os << ",\"histograms\":";
-    writeDistributionObject(os, histogramSnapshot(), "");
-    os << ",\"streaming\":{";
-    bool first = true;
-    for (const auto &[name, snapshot] : streamingSnapshot()) {
-        if (!first)
-            os << ",";
-        first = false;
-        writeJsonQuoted(os, name);
-        os << ":";
-        writeHistogramSummary(os, summarizeHistogram(snapshot));
-    }
-    os << "},\"gauges\":{";
-    first = true;
-    for (const auto &[name, value] : gaugeSnapshot()) {
-        if (!first)
-            os << ",";
-        first = false;
-        writeJsonQuoted(os, name);
-        os << ":" << value;
-    }
-    os << "}}";
 }
 
 void
@@ -211,21 +166,6 @@ writeHistogramSummary(std::ostream &os, const HistogramSummary &summary)
        << ",\"p50\":" << summary.p50 << ",\"p90\":" << summary.p90
        << ",\"p99\":" << summary.p99 << ",\"p999\":" << summary.p999
        << ",\"max\":" << summary.max << "}";
-}
-
-void
-writeAllCounters(std::ostream &os, const CounterSet &stats)
-{
-    os << "{";
-    bool first = true;
-    stats.forEach([&](const std::string &name, std::uint64_t value) {
-        if (!first)
-            os << ",";
-        first = false;
-        writeJsonQuoted(os, name);
-        os << ":" << value;
-    });
-    os << "}";
 }
 
 } // namespace cs

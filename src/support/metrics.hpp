@@ -1,19 +1,17 @@
 /**
  * @file
- * Unified metrics surface for the front-ends and benches: one
- * registry holding named counters (a CounterSet), timers, and value
- * histograms behind a single snapshot/JSON API, plus the low-level
- * JSON writers the bench harnesses use so nobody hand-rolls stats
- * blocks.
+ * The one metrics surface: a registry of named counters, streaming
+ * histograms and gauges, and the one snapshot schema every live view
+ * prints — the Stats reply, each telemetry JSONL line and each Watch
+ * frame (support/telemetry.hpp) — plus the low-level JSON writers the
+ * bench harnesses use so nobody hand-rolls stats blocks.
  *
  * Counters are monotonically increasing integers ("ops_scheduled").
- * Timers and histograms are both sample distributions — a timer's
- * samples are milliseconds, a histogram's are dimensionless values —
- * summarized as count/total/p50/p95/max on export. Streaming
- * histograms (support/histogram.hpp) are the hot-path variant:
+ * Histograms are StreamingHistograms (support/histogram.hpp):
  * fixed-footprint, wait-free to record, snapshot-able from a sampler
- * thread while workers keep recording. Gauges are point-in-time
- * signed levels ("serve.inflight") read and written atomically.
+ * thread while workers keep recording; units are part of the name
+ * ("serve.latency_us.all"). Gauges are point-in-time signed levels
+ * ("serve.inflight") read and written atomically.
  */
 
 #ifndef CS_SUPPORT_METRICS_HPP
@@ -26,21 +24,45 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <vector>
 
 #include "support/histogram.hpp"
 #include "support/stats.hpp"
 
 namespace cs {
 
-/** Five-number summary of one timer or histogram. */
-struct DistributionStats
+/**
+ * A point-in-time view of a component's metrics: counters (flat,
+ * sorted by name), histogram summaries and gauges. Components merge
+ * their parts into one (the server adds its serve.* registry to the
+ * pipeline's snapshot) and every view prints it through fields().
+ */
+struct MetricsSnapshot
 {
-    std::uint64_t count = 0;
-    double total = 0.0;
-    double p50 = 0.0;
-    double p95 = 0.0;
-    double max = 0.0;
+    std::map<std::string, std::uint64_t> counters;
+    std::map<std::string, HistogramSummary> histograms;
+    std::map<std::string, std::int64_t> gauges;
+
+    /** Add every counter of @p set, each name prefixed by @p prefix. */
+    void addCounters(const CounterSet &set, const std::string &prefix = "");
+
+    /** Fold @p other in: counters add up, histograms and gauges are
+     *  taken from @p other by name. */
+    void merge(const MetricsSnapshot &other);
+
+    /**
+     * Write the snapshot as JSON object members, without the braces:
+     *
+     *   "counters":{"name":value,...},
+     *   "histograms":{"name":{"count":..,"mean":..,"p50":..,"p90":..,
+     *                         "p99":..,"p999":..,"max":..},...},
+     *   "gauges":{"name":value,...}
+     *
+     * Keys are sorted, so the bytes depend only on the values.
+     */
+    void writeFields(std::ostream &os) const;
+
+    /** The snapshot as one JSON object: `{` writeFields() `}`. */
+    std::string json() const;
 };
 
 class MetricsRegistry
@@ -50,18 +72,6 @@ class MetricsRegistry
      * scheduler's CounterSet in wholesale. */
     CounterSet &counters() { return counters_; }
     const CounterSet &counters() const { return counters_; }
-
-    /** Record one timer sample, in milliseconds. */
-    void recordTimeMs(const std::string &name, double ms);
-
-    /** Record one histogram sample (dimensionless). */
-    void recordValue(const std::string &name, double value);
-
-    /** Consistent summaries of every timer, keyed by name. */
-    std::map<std::string, DistributionStats> timerSnapshot() const;
-
-    /** Consistent summaries of every histogram, keyed by name. */
-    std::map<std::string, DistributionStats> histogramSnapshot() const;
 
     /**
      * Named streaming histogram, created on first use. The reference
@@ -80,36 +90,17 @@ class MetricsRegistry
      */
     std::atomic<std::int64_t> &gauge(const std::string &name);
 
-    /** Current value of every gauge, keyed by name. */
-    std::map<std::string, std::int64_t> gaugeSnapshot() const;
-
-    /**
-     * Emit the whole registry as one JSON object:
-     *
-     *   {"counters":{...},
-     *    "timers":{"name":{"count":..,"total_ms":..,"p50_ms":..,
-     *                      "p95_ms":..,"max_ms":..},...},
-     *    "histograms":{"name":{"count":..,"total":..,"p50":..,
-     *                          "p95":..,"max":..},...},
-     *    "streaming":{"name":{"count":..,"mean":..,"p50":..,"p90":..,
-     *                         "p99":..,"p999":..,"max":..},...},
-     *    "gauges":{"name":value,...}}
-     */
-    void writeJson(std::ostream &os) const;
+    /** Counters, histogram summaries and gauges, in one view. */
+    MetricsSnapshot snapshot() const;
 
   private:
     CounterSet counters_;
     mutable std::mutex mutex_;
-    std::map<std::string, std::vector<double>> timers_;
-    std::map<std::string, std::vector<double>> histograms_;
     std::map<std::string, std::unique_ptr<StreamingHistogram>>
         streaming_;
     std::map<std::string, std::unique_ptr<std::atomic<std::int64_t>>>
         gauges_;
 };
-
-/** Summarize one sample set (sorts a copy). */
-DistributionStats summarizeDistribution(std::vector<double> samples);
 
 /** JSON-escape and quote @p s onto @p os. */
 void writeJsonQuoted(std::ostream &os, const std::string &s);
@@ -117,11 +108,11 @@ void writeJsonQuoted(std::ostream &os, const std::string &s);
 /**
  * Write the named counters of @p stats as a JSON object in sorted
  * key order: {"a":1,"b":2}. Absent counters print as 0. Sorting is
- * deliberate: every call site (cs_serve statsJson, cs_batch/cs_sweep
- * --json, the bench harnesses) emits the same byte layout for the
- * same name set regardless of the order the caller listed them in,
- * so diffs of BENCH_sched.json and stats dumps never churn on
- * emission order. Pinned by MetricsJson.CounterObjectSortsKeys.
+ * deliberate: every call site (cs_batch/cs_sweep --json, the bench
+ * harnesses) emits the same byte layout for the same name set
+ * regardless of the order the caller listed them in, so diffs of
+ * BENCH_sched.json never churn on emission order. Pinned by
+ * MetricsJson.CounterObjectSortsKeys.
  */
 void writeCounterObject(std::ostream &os, const CounterSet &stats,
                         const char *const *names, std::size_t count);
@@ -133,9 +124,6 @@ writeCounterObject(std::ostream &os, const CounterSet &stats,
 {
     writeCounterObject(os, stats, names, N);
 }
-
-/** Write every counter of @p stats, in name order, as a JSON object. */
-void writeAllCounters(std::ostream &os, const CounterSet &stats);
 
 /**
  * Write one streaming-histogram summary as a JSON object:

@@ -4,8 +4,6 @@
 
 #include <unistd.h>
 
-#include "support/metrics.hpp"
-
 namespace cs {
 
 std::uint64_t
@@ -28,21 +26,48 @@ readRssKb()
            static_cast<std::uint64_t>(pageSize) / 1024u;
 }
 
+void
+TelemetryStream::writeLine(std::ostream &os,
+                           const MetricsSnapshot &snapshot)
+{
+    auto tMs = std::chrono::duration_cast<std::chrono::milliseconds>(
+                   std::chrono::steady_clock::now() - start_)
+                   .count();
+    os << "{\"seq\":" << seq_++ << ",\"t_ms\":" << tMs
+       << ",\"rss_kb\":" << readRssKb() << ",";
+    snapshot.writeFields(os);
+    os << ",\"deltas\":{";
+    bool first = true;
+    for (const auto &[name, value] : snapshot.counters) {
+        auto it = previous_.find(name);
+        std::uint64_t before = it == previous_.end() ? 0 : it->second;
+        if (value == before)
+            continue;
+        if (!first)
+            os << ",";
+        first = false;
+        writeJsonQuoted(os, name);
+        // Counters are monotone in practice, but a snapshot race can
+        // present a transient decrease; clamp at 0 so deltas stay
+        // non-negative.
+        os << ":" << (value > before ? value - before : 0);
+    }
+    os << "}}";
+    previous_ = snapshot.counters;
+}
+
 bool
 TelemetrySampler::start(const TelemetryConfig &config,
-                        CounterFn counters, ExtraFn extra)
+                        SnapshotFn snapshot)
 {
     stop();
     out_.open(config.path, std::ios::trunc);
     if (!out_)
         return false;
     config_ = config;
-    counters_ = std::move(counters);
-    extra_ = std::move(extra);
+    snapshot_ = std::move(snapshot);
     stop_ = false;
-    seq_ = 0;
-    previous_.clear();
-    start_ = std::chrono::steady_clock::now();
+    stream_ = TelemetryStream();
     thread_ = std::thread([this] { loop(); });
     return true;
 }
@@ -71,49 +96,11 @@ TelemetrySampler::loop()
             [this] { return stop_; });
         // One sample per wake, including the final one on stop, so
         // the file always ends with the end state.
-        writeSample();
+        stream_.writeLine(out_, snapshot_());
+        out_ << "\n" << std::flush;
         if (stopping)
             return;
     }
-}
-
-void
-TelemetrySampler::writeSample()
-{
-    auto now = std::chrono::steady_clock::now();
-    auto tMs = std::chrono::duration_cast<std::chrono::milliseconds>(
-                   now - start_)
-                   .count();
-    CounterSet counters = counters_ ? counters_() : CounterSet();
-    std::map<std::string, std::uint64_t> current;
-    counters.forEach([&](const std::string &name, std::uint64_t value) {
-        current.emplace(name, value);
-    });
-
-    out_ << "{\"seq\":" << seq_++ << ",\"t_ms\":" << tMs
-         << ",\"rss_kb\":" << readRssKb() << ",\"counters\":";
-    writeAllCounters(out_, counters);
-    out_ << ",\"deltas\":{";
-    bool first = true;
-    for (const auto &[name, value] : current) {
-        auto it = previous_.find(name);
-        std::uint64_t before = it == previous_.end() ? 0 : it->second;
-        if (value == before)
-            continue;
-        if (!first)
-            out_ << ",";
-        first = false;
-        writeJsonQuoted(out_, name);
-        // Counters are monotone in practice, but a snapshot race can
-        // present a transient decrease; clamp at 0 so deltas stay
-        // non-negative.
-        out_ << ":" << (value > before ? value - before : 0);
-    }
-    out_ << "}";
-    previous_ = std::move(current);
-    if (extra_)
-        extra_(out_);
-    out_ << "}\n" << std::flush;
 }
 
 } // namespace cs

@@ -1,24 +1,28 @@
 /**
  * @file
- * Time-series telemetry sampler: a background thread that appends one
- * JSONL snapshot of a process's counters and resource footprint to a
- * file every N ms, so a long soak can be watched (and asserted on)
- * instead of inspected post-hoc.
+ * Time-series telemetry: a stream of JSON lines, each one snapshot of
+ * a process's metrics and resource footprint, and a background
+ * sampler that appends one such line to a file every N ms, so a long
+ * soak can be watched (and asserted on) instead of inspected
+ * post-hoc.
  *
  * Each line is one self-contained JSON object:
  *
  *   {"seq":3,"t_ms":750,"rss_kb":41288,
- *    "counters":{...cumulative, sorted...},
+ *    "counters":{...},"histograms":{...},"gauges":{...},
  *    "deltas":{...only the counters that changed since the previous
- *              line...}
- *    <extra fields from the owner: shard sizes, quantiles, gauges>}
+ *              line...}}
  *
- * The counter snapshot comes from a caller-supplied closure, so one
- * sampler works for the server (serve + pipeline + cache counters),
- * cs_batch, and cs_sweep alike; the optional extras closure appends
- * leading-comma JSON fields for owner-specific state. Both closures
- * run on the sampler thread — they must be safe to call concurrently
- * with the workers (CounterSet snapshots and the registry's streaming
+ * The middle is the MetricsSnapshot schema (support/metrics.hpp), so
+ * a line minus seq/t_ms/rss_kb/deltas is byte for byte what a Stats
+ * reply carries for the same state. TelemetryStream writes the
+ * lines; the file sampler owns one stream and the server owns one per
+ * Watch subscription, so both views are the same writer.
+ *
+ * The snapshot comes from a caller-supplied closure, so one sampler
+ * works for the server, cs_batch and cs_sweep alike. The closure runs
+ * on the sampler thread — it must be safe to call concurrently with
+ * the workers (CounterSet snapshots and the registry's streaming
  * histograms are).
  *
  * Shutdown contract: stop() (and the destructor) wakes the thread,
@@ -40,12 +44,31 @@
 #include <string>
 #include <thread>
 
-#include "support/stats.hpp"
+#include "support/metrics.hpp"
 
 namespace cs {
 
 /** Resident set size in KiB from /proc/self/statm (0 on failure). */
 std::uint64_t readRssKb();
+
+/**
+ * One telemetry line sequence: seq counts from 0, t_ms runs from
+ * construction, and deltas are taken against the previous line's
+ * counters. Not thread-safe; each stream has one writer thread.
+ */
+class TelemetryStream
+{
+  public:
+    TelemetryStream() : start_(std::chrono::steady_clock::now()) {}
+
+    /** Write the next line for @p snapshot (no trailing newline). */
+    void writeLine(std::ostream &os, const MetricsSnapshot &snapshot);
+
+  private:
+    std::uint64_t seq_ = 0;
+    std::chrono::steady_clock::time_point start_;
+    std::map<std::string, std::uint64_t> previous_;
+};
 
 struct TelemetryConfig
 {
@@ -56,11 +79,8 @@ struct TelemetryConfig
 class TelemetrySampler
 {
   public:
-    /** Cumulative counter snapshot (called on the sampler thread). */
-    using CounterFn = std::function<CounterSet()>;
-    /** Extra per-line JSON fields; must write leading commas:
-     *  `,"key":value`. */
-    using ExtraFn = std::function<void(std::ostream &)>;
+    /** The metrics to record (called on the sampler thread). */
+    using SnapshotFn = std::function<MetricsSnapshot()>;
 
     TelemetrySampler() = default;
     ~TelemetrySampler() { stop(); }
@@ -69,10 +89,9 @@ class TelemetrySampler
 
     /**
      * Open @p config.path and start sampling. Returns false (without
-     * starting) if the file cannot be opened. @p extra may be empty.
+     * starting) if the file cannot be opened.
      */
-    bool start(const TelemetryConfig &config, CounterFn counters,
-               ExtraFn extra = {});
+    bool start(const TelemetryConfig &config, SnapshotFn snapshot);
 
     /** Final sample + flush + join. Idempotent; the destructor calls
      *  it. */
@@ -82,19 +101,15 @@ class TelemetrySampler
 
   private:
     void loop();
-    void writeSample();
 
     TelemetryConfig config_;
-    CounterFn counters_;
-    ExtraFn extra_;
+    SnapshotFn snapshot_;
     std::ofstream out_;
     std::mutex mutex_;
     std::condition_variable cv_;
     bool stop_ = false;
     std::thread thread_;
-    std::uint64_t seq_ = 0;
-    std::chrono::steady_clock::time_point start_;
-    std::map<std::string, std::uint64_t> previous_;
+    TelemetryStream stream_;
 };
 
 } // namespace cs

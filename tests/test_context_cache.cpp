@@ -274,6 +274,41 @@ TEST(PipelineDedup, HerdSchedulesOnceAndMatchesSingleton)
               singletonStats.get("copies_inserted"));
 }
 
+TEST(PipelineDedup, MissAfterTheLeaderFinishedAdoptsItsResult)
+{
+    // A served miss waits in the queue (submitMiss); when an identical
+    // run finished meanwhile, the miss adopts that cached result as a
+    // late join instead of scheduling again — and counts no second
+    // cache-tier lookup.
+    setVerboseLogging(false);
+    Machine machine = makeCentral();
+    ScheduleJob job;
+    job.label = "FFT@Central";
+    job.kernel = kernel("FFT");
+    job.block = BlockId(0);
+    job.machine = &machine;
+    PipelineConfig config;
+    config.numThreads = 1;
+    SchedulingPipeline pipeline(config);
+    JobResult first = pipeline.run({job})[0];
+    ASSERT_TRUE(first.success);
+
+    JobResult adopted;
+    ASSERT_TRUE(pipeline.submitMiss(job, scheduleJobKey(job),
+                                    [&adopted](JobResult result) {
+                                        adopted = std::move(result);
+                                    }));
+    pipeline.waitIdle();
+    EXPECT_TRUE(adopted.success);
+    EXPECT_EQ(adopted.listing, first.listing);
+    CounterSet stats = pipeline.statsSnapshot();
+    EXPECT_EQ(stats.get("pipeline.jobs"), 2u);
+    EXPECT_EQ(stats.get("pipeline.cache_misses"), 1u);
+    EXPECT_EQ(stats.get("pipeline.dedup_joins"), 1u);
+    EXPECT_EQ(pipeline.cache().stats().misses, 1u);
+    EXPECT_EQ(pipeline.cache().stats().hits, 0u);
+}
+
 TEST(PipelineDedup, DisabledDedupNeverJoins)
 {
     setVerboseLogging(false);

@@ -197,12 +197,29 @@ TEST(HistogramRegistry, NamedInstancesAreStableAndDumped)
     ASSERT_EQ(snaps.count("lat"), 1u);
     EXPECT_EQ(snaps["lat"].count, 2u);
 
-    std::ostringstream json;
-    registry.writeJson(json);
-    EXPECT_NE(json.str().find("\"streaming\":{\"lat\":{\"count\":2"),
+    std::string json = registry.snapshot().json();
+    EXPECT_NE(json.find("\"histograms\":{\"lat\":{\"count\":2"),
               std::string::npos);
-    EXPECT_NE(json.str().find("\"gauges\":{\"depth\":3}"),
-              std::string::npos);
+    EXPECT_NE(json.find("\"gauges\":{\"depth\":3}"), std::string::npos);
+}
+
+TEST(MetricsJson, SnapshotSchemaGolden)
+{
+    // Pin the one snapshot schema every view prints (Stats replies,
+    // telemetry lines, Watch frames): sorted counters, histogram
+    // summaries, gauges — byte for byte.
+    MetricsRegistry registry;
+    registry.counters().bump("zeta", 2);
+    registry.counters().bump("alpha", 1);
+    StreamingHistogram &h = registry.streamingHistogram("lat_us");
+    h.record(7);
+    h.record(9);
+    registry.gauge("depth").store(-3);
+    EXPECT_EQ(registry.snapshot().json(),
+              "{\"counters\":{\"alpha\":1,\"zeta\":2},"
+              "\"histograms\":{\"lat_us\":{\"count\":2,\"mean\":8,"
+              "\"p50\":7,\"p90\":9,\"p99\":9,\"p999\":9,\"max\":9}},"
+              "\"gauges\":{\"depth\":-3}}");
 }
 
 TEST(MetricsJson, CounterObjectSortsKeys)

@@ -82,7 +82,13 @@ randomMachine(std::uint64_t seed)
     return b.build();
 }
 
-/** Small random integer kernel matching the machine's capabilities. */
+/**
+ * Small random integer kernel matching the machine's capabilities.
+ * Deliberately not the shared generator of random_kernel.hpp: random
+ * machines only have Add-class units and one load/store unit, so the
+ * op mix stays within add/sub/min and loads/stores (no multiplies,
+ * logic ops or loop-carried reads).
+ */
 Kernel
 randomKernel(std::uint64_t seed)
 {

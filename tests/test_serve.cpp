@@ -31,6 +31,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <optional>
 #include <span>
 #include <string>
@@ -139,6 +140,19 @@ freshCacheDir(const std::string &name)
     return dir.string();
 }
 
+/** Numeric member @p key of a JSON line — its first occurrence, which
+ *  in a Stats reply or telemetry line is the counters/gauges entry,
+ *  ahead of any deltas (-1 when absent). */
+std::int64_t
+jsonField(const std::string &line, const std::string &key)
+{
+    std::string needle = "\"" + key + "\":";
+    std::size_t pos = line.find(needle);
+    if (pos == std::string::npos)
+        return -1;
+    return std::atoll(line.c_str() + pos + needle.size());
+}
+
 TEST(Serve, PingStatsAndScheduleRoundTrip)
 {
     setVerboseLogging(false);
@@ -171,9 +185,13 @@ TEST(Serve, PingStatsAndScheduleRoundTrip)
 
     std::string statsJson;
     ASSERT_TRUE(client.stats(&statsJson, &error)) << error;
-    EXPECT_NE(statsJson.find("\"serve\""), std::string::npos);
-    EXPECT_NE(statsJson.find("\"pipeline\""), std::string::npos);
-    EXPECT_NE(statsJson.find("\"cache\""), std::string::npos);
+    EXPECT_EQ(statsJson.find("{\"counters\":{"), 0u);
+    EXPECT_EQ(jsonField(statsJson, "serve.ok"), 2);
+    EXPECT_EQ(jsonField(statsJson, "pipeline.jobs"), 2);
+    EXPECT_EQ(jsonField(statsJson, "cache.memory.hits"), 1);
+    EXPECT_EQ(jsonField(statsJson, "serve.inflight"), 0);
+    EXPECT_NE(statsJson.find("\"serve.latency_us.warm\":{\"count\":1"),
+              std::string::npos);
     EXPECT_EQ(server.metrics().counters().get("serve.ok"), 2u);
 
     server.stop();
@@ -491,7 +509,7 @@ TEST(ServeTcp, RoundTripMatchesUdsByteForByte)
 
     std::string statsJson;
     ASSERT_TRUE(tcp.stats(&statsJson, &error)) << error;
-    EXPECT_NE(statsJson.find("\"serve\""), std::string::npos);
+    EXPECT_GE(jsonField(statsJson, "serve.requests"), 1);
     server.stop();
 }
 
@@ -871,17 +889,6 @@ TEST(Serve, OwnershipFailoverPromotesSurvivorDaemon)
 // CS_SOAK_MS to stretch the default few seconds into a real soak.
 // ---------------------------------------------------------------------
 
-/** Numeric field from a flat JSON line (-1 when absent). */
-std::int64_t
-jsonField(const std::string &line, const std::string &key)
-{
-    std::string needle = "\"" + key + "\":";
-    std::size_t pos = line.find(needle);
-    if (pos == std::string::npos)
-        return -1;
-    return std::atoll(line.c_str() + pos + needle.size());
-}
-
 TEST(Serve, ResponsesEchoServerRequestIds)
 {
     setVerboseLogging(false);
@@ -1031,21 +1038,112 @@ TEST(Serve, WatchStreamsLiveStatsOverUds)
         &error))
         << error;
     ASSERT_EQ(frames.size(), 3u);
-    std::int64_t lastSeq = -1;
+    std::int64_t lastSeq = -1, lastT = -1;
     for (const std::string &frame : frames) {
         EXPECT_EQ(frame.front(), '{');
         EXPECT_EQ(frame.back(), '}');
         EXPECT_EQ(jsonField(frame, "seq"), lastSeq + 1);
         lastSeq = jsonField(frame, "seq");
-        EXPECT_EQ(jsonField(frame, "interval_ms"), 20);
-        EXPECT_GE(jsonField(frame, "requests_total"), 2);
-        EXPECT_GE(jsonField(frame, "p50_us"), 0);
+        EXPECT_GE(jsonField(frame, "t_ms"), lastT);
+        lastT = jsonField(frame, "t_ms");
+        EXPECT_GE(jsonField(frame, "serve.requests"), 2);
+        EXPECT_NE(frame.find("\"serve.latency_us.all\":{"),
+                  std::string::npos);
         EXPECT_GT(jsonField(frame, "rss_kb"), 0);
-        EXPECT_GE(jsonField(frame, "inflight"), 0);
+        EXPECT_GE(jsonField(frame, "serve.inflight"), 0);
+        EXPECT_NE(frame.find("\"deltas\":{"), std::string::npos);
     }
     // The second schedule was a warm hit, so the stream reports it.
-    EXPECT_GE(jsonField(frames.back(), "warm_hits_total"), 1);
+    EXPECT_GE(jsonField(frames.back(), "serve.fast_path_hits"), 1);
     server.stop();
+}
+
+TEST(Serve, ColdRequestsHashAndProbeOnce)
+{
+    // A cold request probes each cache tier once — the reader-thread
+    // fast path hands its miss key to the worker instead of the worker
+    // probing again — and the Stats reply shows it, with the fast path
+    // on and off.
+    setVerboseLogging(false);
+    constexpr int kRequests = 5;
+    for (bool fastPath : {true, false}) {
+        serve::ServerConfig config = baseConfig(testSocketPath("cold"));
+        config.cacheDirectory = freshCacheDir("cs_serve_cold");
+        config.readerFastPath = fastPath;
+        serve::ScheduleServer server(config);
+        ASSERT_TRUE(server.start());
+        serve::ScheduleClient client;
+        std::string error;
+        ASSERT_TRUE(client.connect(config.socketPath, &error)) << error;
+        for (int i = 0; i < kRequests; ++i) {
+            serve::Response response;
+            ASSERT_TRUE(client.schedule(oneJobSet("DCT", 2048 + i), 0,
+                                        &response, &error))
+                << error;
+            ASSERT_EQ(response.status, serve::ResponseStatus::Ok);
+            EXPECT_FALSE(response.cacheHit);
+        }
+        std::string stats;
+        ASSERT_TRUE(client.stats(&stats, &error)) << error;
+        EXPECT_EQ(jsonField(stats, "cache.memory.misses"), kRequests)
+            << "fast path " << fastPath;
+        EXPECT_EQ(jsonField(stats, "cache.disk.misses"), kRequests)
+            << "fast path " << fastPath;
+        EXPECT_EQ(jsonField(stats, "pipeline.cache_misses"), kRequests)
+            << "fast path " << fastPath;
+        EXPECT_EQ(jsonField(stats, "pipeline.jobs"), kRequests);
+        server.stop();
+    }
+}
+
+TEST(Serve, StatsEqualsTheLastTelemetryLine)
+{
+    // Stats, Watch and telemetry print one snapshot: once the server
+    // has drained, the sampler's final line minus its stream fields
+    // (seq, t_ms, rss_kb, deltas) is byte for byte the Stats JSON.
+    setVerboseLogging(false);
+    serve::ServerConfig config = baseConfig(testSocketPath("statsline"));
+    serve::ScheduleServer server(config);
+    ASSERT_TRUE(server.start());
+    namespace fs = std::filesystem;
+    std::string path =
+        (fs::path(::testing::TempDir()) / "cs_stats_telemetry.jsonl")
+            .string();
+    TelemetrySampler sampler;
+    TelemetryConfig telemetry;
+    telemetry.path = path;
+    telemetry.intervalMs = 20;
+    ASSERT_TRUE(
+        sampler.start(telemetry, [&server] { return server.snapshot(); }));
+
+    serve::ScheduleClient client;
+    std::string error;
+    ASSERT_TRUE(client.connect(config.socketPath, &error)) << error;
+    serve::Response response;
+    for (int i = 0; i < 2; ++i)
+        ASSERT_TRUE(client.schedule(oneJobSet("DCT"), 0, &response, &error))
+            << error;
+    std::string live;
+    ASSERT_TRUE(client.stats(&live, &error)) << error;
+    server.stop();
+    sampler.stop();
+
+    std::string last;
+    {
+        std::ifstream in(path);
+        for (std::string line; std::getline(in, line);)
+            last = line;
+    }
+    std::size_t body = last.find("\"counters\":");
+    std::size_t deltas = last.rfind(",\"deltas\":{");
+    ASSERT_NE(body, std::string::npos);
+    ASSERT_NE(deltas, std::string::npos);
+    EXPECT_EQ(last.find("{\"seq\":"), 0u);
+    EXPECT_EQ("{" + last.substr(body, deltas - body) + "}",
+              server.statsJson());
+    // The reply a client got is the same schema.
+    EXPECT_EQ(live.find("{\"counters\":{"), 0u);
+    EXPECT_EQ(jsonField(live, "serve.stats_requests"), 1);
 }
 
 TEST(ServeTcp, WatchStreamsOverTcp)
@@ -1070,7 +1168,7 @@ TEST(ServeTcp, WatchStreamsOverTcp)
     ASSERT_TRUE(watcher.watch(
         10,
         [&ticks](const std::string &frame) {
-            EXPECT_GE(jsonField(frame, "requests_total"), 1);
+            EXPECT_GE(jsonField(frame, "serve.requests"), 1);
             return ++ticks < 2;
         },
         &error))
@@ -1128,12 +1226,8 @@ TEST(ServeSoak, OpenLoopChurnStaysClean)
     TelemetryConfig telemetryConfig;
     telemetryConfig.path = telemetryPath;
     telemetryConfig.intervalMs = 100;
-    ASSERT_TRUE(sampler.start(
-        telemetryConfig,
-        [&server] { return server.counterSnapshot(); },
-        [&server](std::ostream &os) {
-            server.writeTelemetryFields(os);
-        }));
+    ASSERT_TRUE(sampler.start(telemetryConfig,
+                              [&server] { return server.snapshot(); }));
 
     // Cheap kernels with a rotating maxDelay: a bounded working set so
     // warm hits dominate, plus a steady trickle of cold inserts.
@@ -1250,19 +1344,19 @@ TEST(ServeSoak, OpenLoopChurnStaysClean)
         EXPECT_GE(jsonField(line, "serve.schedule_requests"),
                   lastRequestsSeen);
         lastRequestsSeen = jsonField(line, "serve.schedule_requests");
-        EXPECT_GE(jsonField(line, "inflight"), 0);
-        EXPECT_GE(jsonField(line, "shard_bytes"), 0);
+        EXPECT_GE(jsonField(line, "serve.inflight"), 0);
+        EXPECT_GE(jsonField(line, "cache.disk.shard_bytes"), 0);
         EXPECT_GT(jsonField(line, "rss_kb"), 0);
     }
     EXPECT_GT(lastRequestsSeen, 0);
     const std::string &last = lines.back();
     EXPECT_LT(jsonField(last, "rss_kb"),
               static_cast<std::int64_t>(rssAtStart) + 256 * 1024);
-    EXPECT_LT(jsonField(last, "shard_bytes"), 16 * 1024 * 1024);
-    EXPECT_GT(jsonField(last, "shard_records"), 0);
+    EXPECT_LT(jsonField(last, "cache.disk.shard_bytes"), 16 * 1024 * 1024);
+    EXPECT_GT(jsonField(last, "cache.disk.shard_records"), 0);
     // The latency histograms rode along: the all-outcomes summary has
     // every request.
-    EXPECT_NE(last.find("\"latency\":{"), std::string::npos);
+    EXPECT_NE(last.find("\"serve.latency_us.all\":{"), std::string::npos);
     server.stop();
 }
 

@@ -79,6 +79,15 @@ jsonField(const std::string &line, const std::string &key)
     return std::atoll(line.c_str() + pos + needle.size());
 }
 
+/** A snapshot holding just @p counters (the sampler's source). */
+MetricsSnapshot
+snapshotOf(const CounterSet &counters)
+{
+    MetricsSnapshot snapshot;
+    snapshot.addCounters(counters);
+    return snapshot;
+}
+
 TEST(Telemetry, RssReadsPositive)
 {
     // Any live process has resident pages.
@@ -95,9 +104,11 @@ TEST(Telemetry, JsonlLinesAreWellFormedAndMonotone)
     TelemetryConfig config;
     config.path = path;
     config.intervalMs = 10;
-    ASSERT_TRUE(sampler.start(
-        config, [&counters] { return counters; },
-        [](std::ostream &os) { os << ",\"extra\":42"; }));
+    ASSERT_TRUE(sampler.start(config, [&counters] {
+        MetricsSnapshot snapshot = snapshotOf(counters);
+        snapshot.gauges["extra"] = 42;
+        return snapshot;
+    }));
     EXPECT_TRUE(sampler.running());
     for (int i = 0; i < 5; ++i) {
         counters.bump("work.items", 3);
@@ -125,6 +136,8 @@ TEST(Telemetry, JsonlLinesAreWellFormedAndMonotone)
         }
         EXPECT_EQ(depth, 0) << line;
         EXPECT_NE(line.find("\"counters\":{"), std::string::npos);
+        EXPECT_NE(line.find("\"histograms\":{"), std::string::npos);
+        EXPECT_NE(line.find("\"gauges\":{"), std::string::npos);
         EXPECT_NE(line.find("\"deltas\":{"), std::string::npos);
         EXPECT_EQ(jsonField(line, "extra"), 42);
 
@@ -151,7 +164,7 @@ TEST(Telemetry, StopWritesTheFinalState)
     config.path = path;
     config.intervalMs = 60000; // Never fires on its own.
     ASSERT_TRUE(sampler.start(config,
-                              [&counters] { return counters; }));
+                              [&counters] { return snapshotOf(counters); }));
     counters.bump("done", 7);
     sampler.stop();
 
@@ -161,7 +174,7 @@ TEST(Telemetry, StopWritesTheFinalState)
     // Stop is idempotent and restart truncates.
     sampler.stop();
     ASSERT_TRUE(sampler.start(config,
-                              [&counters] { return counters; }));
+                              [&counters] { return snapshotOf(counters); }));
     sampler.stop();
     EXPECT_EQ(readLines(path).size(), 1u);
 }
@@ -178,7 +191,7 @@ TEST(Telemetry, DeltasCarryOnlyChangedCounters)
     config.path = path;
     config.intervalMs = 20;
     ASSERT_TRUE(sampler.start(config,
-                              [&counters] { return counters; }));
+                              [&counters] { return snapshotOf(counters); }));
     // Bump only once the first sample is on disk, so it is certain to
     // predate the bump however the sampler thread is scheduled.
     ASSERT_TRUE(waitForCompleteLine(path));
@@ -216,33 +229,28 @@ TEST(Telemetry, StartFailsOnUnwritablePath)
     TelemetryConfig config;
     config.path = "/nonexistent-dir-xyz/telemetry.jsonl";
     EXPECT_FALSE(
-        sampler.start(config, [] { return CounterSet(); }));
+        sampler.start(config, [] { return MetricsSnapshot(); }));
     EXPECT_FALSE(sampler.running());
 }
 
 TEST(TelemetryStress, SamplerVsWorkersUnderLoad)
 {
-    // The TSan surface: worker threads bump a shared CounterSet and
-    // record into a registry histogram while the sampler snapshots
-    // both every millisecond. Any unsynchronized access trips the
+    // The TSan surface: worker threads bump the registry's counters
+    // and record into its histogram while the sampler snapshots the
+    // registry every millisecond. Any unsynchronized access trips the
     // sanitizer builds.
     std::string path = tempFile("telemetry_stress.jsonl");
     MetricsRegistry registry;
     StreamingHistogram &latency =
         registry.streamingHistogram("stress.lat");
-    CounterSet counters;
+    CounterSet &counters = registry.counters();
 
     TelemetrySampler sampler;
     TelemetryConfig config;
     config.path = path;
     config.intervalMs = 1;
     ASSERT_TRUE(sampler.start(
-        config, [&counters] { return counters; },
-        [&registry](std::ostream &os) {
-            HistogramSummary s = summarizeHistogram(
-                registry.streamingSnapshot()["stress.lat"]);
-            os << ",\"p99\":" << s.p99;
-        }));
+        config, [&registry] { return registry.snapshot(); }));
 
     constexpr int kThreads = 4;
     constexpr int kIterations = 5000;
@@ -264,6 +272,40 @@ TEST(TelemetryStress, SamplerVsWorkersUnderLoad)
     ASSERT_FALSE(lines.empty());
     EXPECT_EQ(jsonField(lines.back(), "stress.ops"),
               kThreads * kIterations);
+    std::size_t at = lines.back().find("\"stress.lat\":{");
+    ASSERT_NE(at, std::string::npos);
+    EXPECT_EQ(jsonField(lines.back().substr(at), "count"),
+              kThreads * kIterations);
+}
+
+TEST(Telemetry, LineIsTheSnapshotPlusStreamFields)
+{
+    // One writer: a stream line is {"seq","t_ms","rss_kb",<snapshot
+    // fields>,"deltas"}, so stripping the stream fields leaves exactly
+    // the snapshot's own JSON.
+    MetricsRegistry registry;
+    registry.counters().bump("a", 3);
+    registry.streamingHistogram("lat_us").record(12);
+    registry.gauge("depth").store(2);
+    MetricsSnapshot snapshot = registry.snapshot();
+
+    TelemetryStream stream;
+    std::ostringstream first, second;
+    stream.writeLine(first, snapshot);
+    stream.writeLine(second, snapshot);
+    for (const std::string &line : {first.str(), second.str()}) {
+        std::size_t body = line.find("\"counters\":");
+        std::size_t deltas = line.rfind(",\"deltas\":{");
+        ASSERT_NE(body, std::string::npos);
+        ASSERT_NE(deltas, std::string::npos);
+        EXPECT_EQ("{" + line.substr(body, deltas - body) + "}",
+                  snapshot.json());
+    }
+    EXPECT_EQ(jsonField(first.str(), "seq"), 0);
+    EXPECT_EQ(jsonField(second.str(), "seq"), 1);
+    // Deltas: everything on the first line, nothing once unchanged.
+    EXPECT_NE(first.str().find("\"deltas\":{\"a\":3}"), std::string::npos);
+    EXPECT_NE(second.str().find("\"deltas\":{}"), std::string::npos);
 }
 
 } // namespace
