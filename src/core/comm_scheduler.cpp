@@ -558,23 +558,11 @@ BlockScheduler::unitChoices(OperationId op, int cycle,
         OperationId producer =
             kernel_.value(operation.operands[0].value).def;
         if (isScheduled(producer)) {
-            const auto &writable = machine_.writableRegFiles(
-                schedule_.placement(producer).fu);
-            std::size_t keep = 0;
-            for (FuncUnitId fu : choices) {
-                const auto &readable = machine_.readableAnySlot(fu);
-                bool ok = false;
-                for (RegFileId rf : writable) {
-                    if (std::find(readable.begin(), readable.end(),
-                                  rf) != readable.end()) {
-                        ok = true;
-                        break;
-                    }
-                }
-                if (ok)
-                    choices[keep++] = fu;
-            }
-            choices.resize(keep);
+            const InlineBitset &writable =
+                machine_.writableMask(schedule_.placement(producer).fu);
+            std::erase_if(choices, [&](FuncUnitId fu) {
+                return !writable.intersects(machine_.readableAnyMask(fu));
+            });
         }
 
         if (choices.size() < 2)
@@ -586,22 +574,18 @@ BlockScheduler::unitChoices(OperationId op, int cycle,
         // stub, with no retargeting of the producer at all. Secondary:
         // least-pressured class, so a copy on a saturated class (e.g.
         // the multipliers when one issues every cycle) does not steal
-        // an issue slot the schedule cannot spare.
-        std::vector<RegFileId> &residences =
-            driverFrame(copyDepth).residences;
-        valueResidences(operation.operands[0].value, residences);
-        auto reads_residence = [&](FuncUnitId fu) {
-            const auto &readable = machine_.readableAnySlot(fu);
-            for (RegFileId rf : residences) {
-                if (std::find(readable.begin(), readable.end(), rf) !=
-                    readable.end()) {
-                    return 0;
-                }
-            }
-            return 1;
-        };
+        // an issue slot the schedule cannot spare. Keys are computed
+        // once per unit; the stable sort keeps unit order on ties.
+        DriverScratch &frame = driverFrame(copyDepth);
+        valueResidences(operation.operands[0].value, frame.residences);
         const auto &pressure = ctx_->classPressure();
-        auto pressure_of = [&](FuncUnitId fu) {
+        auto &ranked = frame.copyRanked;
+        ranked.clear();
+        for (FuncUnitId fu : choices) {
+            int reads_residence =
+                machine_.readableAnyMask(fu).intersects(frame.residences)
+                    ? 0
+                    : 1;
             const FuncUnit &unit = machine_.funcUnit(fu);
             double worst = 0.0;
             for (std::size_t c = 0; c < kNumOpClasses; ++c) {
@@ -610,16 +594,14 @@ BlockScheduler::unitChoices(OperationId op, int cycle,
                 if (unit.classes.test(c))
                     worst = std::max(worst, pressure[c]);
             }
-            return worst;
-        };
-        std::stable_sort(
-            choices.begin(), choices.end(),
-            [&](FuncUnitId a, FuncUnitId b) {
-                int ra = reads_residence(a), rb = reads_residence(b);
-                if (ra != rb)
-                    return ra < rb;
-                return pressure_of(a) < pressure_of(b);
-            });
+            ranked.push_back({{reads_residence, worst}, fu});
+        }
+        std::stable_sort(ranked.begin(), ranked.end(),
+                         [](const auto &a, const auto &b) {
+                             return a.first < b.first;
+                         });
+        for (std::size_t i = 0; i < ranked.size(); ++i)
+            choices[i] = ranked[i].second;
         return choices;
     }
     if (choices.size() > 1) {
@@ -725,18 +707,14 @@ BlockScheduler::commsWritingAt(int cycle, std::vector<CommId> &out) const
 }
 
 void
-BlockScheduler::valueResidences(ValueId value,
-                                std::vector<RegFileId> &out) const
+BlockScheduler::valueResidences(ValueId value, InlineBitset &out) const
 {
-    out.clear();
+    out.resize(machine_.numRegFiles());
     for (CommId id : comms_.byValue(value)) {
         const Communication &comm = comms_.get(id);
-        if (!comm.active || !comm.writeStub)
-            continue;
-        RegFileId rf =
-            machine_.writePortRegFile(comm.writeStub->writePort);
-        if (std::find(out.begin(), out.end(), rf) == out.end())
-            out.push_back(rf);
+        if (comm.active && comm.writeStub)
+            out.set(machine_.writePortRegFile(comm.writeStub->writePort)
+                        .index());
     }
 }
 

@@ -197,6 +197,10 @@ class BlockScheduler
     ScheduleResult run();
 
   private:
+    /** Test seam: reads the write-candidate emission plans
+     *  (tests/test_write_plans.cpp defines it). */
+    friend struct WritePlanPeer;
+
     /** @name Driver (Figure 11) */
     /// @{
     bool scheduleOp(OperationId op, int rangeLo, int rangeHi,
@@ -234,8 +238,12 @@ class BlockScheduler
     std::span<const ReadStub> readCandidatesFor(const Communication &comm,
                                                 std::vector<ReadStub>
                                                     &storage) const;
+    /** Write candidates are emitted from the communication's plan,
+     *  resolved once per search by writePlanFor. */
+    struct WriteEmitPlan;
     std::span<const WriteStub>
     writeCandidatesFor(const Communication &comm,
+                       const WriteEmitPlan &plan,
                        std::vector<WriteStub> &storage) const;
 
     bool permuteReadStubs(int cycle);
@@ -294,11 +302,11 @@ class BlockScheduler
     double commCost(OperationId op, FuncUnitId fu, int cycle) const;
 
     /**
-     * Register files the value currently lands in: the targets of the
-     * assigned write stubs of its active communications.
+     * Register files the value currently lands in, as a register-file
+     * mask: the targets of the assigned write stubs of its active
+     * communications.
      */
-    void valueResidences(ValueId value,
-                         std::vector<RegFileId> &out) const;
+    void valueResidences(ValueId value, InlineBitset &out) const;
 
     /** @name Cycle bookkeeping */
     /// @{
@@ -429,6 +437,8 @@ class BlockScheduler
         std::vector<int> choice;
         std::vector<ValueId> distinctValues;
         InlineBitset candidateBuses;
+        /** Write side: each participant's emission plan, by level. */
+        std::vector<const WriteEmitPlan *> writePlans;
     };
 
     /** RAII lease on the scratch frame at the current nesting depth. */
@@ -531,8 +541,12 @@ class BlockScheduler
         std::vector<std::pair<std::pair<double, std::uint32_t>,
                               FuncUnitId>>
             ranked;
+        /** Copy units keyed by (reads a residence file ? 0 : 1,
+         *  class pressure). */
+        std::vector<std::pair<std::pair<int, double>, FuncUnitId>>
+            copyRanked;
         std::vector<CommId> closing;
-        std::vector<RegFileId> residences;
+        InlineBitset residences;
     };
     mutable std::vector<DriverScratch> driverScratch_;
     DriverScratch &driverFrame(int copyDepth) const
@@ -602,6 +616,18 @@ class BlockScheduler
      * keyed by the context table row's address (stable — the context
      * is immutable and outlives the scheduler) and the writer's unit,
      * and build lazily on first use so small blocks never pay.
+     *
+     * A plan's stubs are exactly the candidate set of every query that
+     * uses it (ranking only reorders them), so its bus mask is the bus
+     * set of that candidate list. The write search resolves each
+     * participant's plan once (writePlanFor), decides the bus-count
+     * precheck from the OR of the plans' masks, and builds candidate
+     * lists only when the precheck passes: a rejected search never
+     * pays for its lists, and every verdict equals the one the lists
+     * would give. Every input of the plan key (the reader's placement,
+     * unit, slot and read stub, the writer's unit) is hashed by
+     * writeSearchSignature, so a no-good learned from a mask precheck
+     * is as exact as one learned from the DFS.
      */
     /// @{
     struct WriteEmitPlan
@@ -632,9 +658,15 @@ class BlockScheduler
         std::vector<WriteStub> stubs; ///< bus-major, run-grouped
         std::vector<Run> runs;
         std::vector<BusRuns> buses;
+        /** Buses carrying at least one stub (exactly the buses of
+         *  `buses`), sized to the machine's bus count. */
+        InlineBitset busMask;
+        /** Closing plan (base ranks against a read file) rather than
+         *  an open one (reader-shape class codes). */
+        bool closing = false;
         /** Stubs dropped by the route mask: charged to the
-         *  prune_route_mask counter once per query, as the unplanned
-         *  loop would. */
+         *  prune_route_mask counter once per resolution, as the
+         *  unplanned loop charged them once per query. */
         std::uint32_t pruned = 0;
     };
     struct WritePlanKey
@@ -659,6 +691,13 @@ class BlockScheduler
     const WriteEmitPlan &
     closeWritePlan(std::span<const std::uint16_t> base,
                    FuncUnitId fu) const;
+    /**
+     * The plan a write-candidate query for @p comm emits from: keyed
+     * by (closeBaseRow(read file) when the communication is closing,
+     * else the reader shape's open-code row; the writer's unit).
+     * Charges the plan's route-mask prunes to prune_route_mask.
+     */
+    const WriteEmitPlan &writePlanFor(const Communication &comm) const;
     mutable std::unordered_map<WritePlanKey, WriteEmitPlan,
                                WritePlanKeyHash>
         writePlans_;

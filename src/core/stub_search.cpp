@@ -284,6 +284,7 @@ BlockScheduler::openWritePlan(std::span<const std::uint8_t> codes,
     const auto &groups = machine_.writeStubsByBus(fu);
     std::size_t n = machine_.numBuses();
     plan.stubs.reserve(all.size());
+    plan.busMask.resize(n);
     for (std::size_t b = 0; b < n; ++b) {
         auto first_run = static_cast<std::uint32_t>(plan.runs.size());
         // Reachable stubs of the bus first, then serviceable-only:
@@ -318,6 +319,7 @@ BlockScheduler::openWritePlan(std::span<const std::uint8_t> codes,
         if (end_run > first_run) {
             plan.buses.push_back({static_cast<std::uint32_t>(b),
                                   first_run, end_run});
+            plan.busMask.set(b);
         }
     }
     return plan;
@@ -336,6 +338,8 @@ BlockScheduler::closeWritePlan(std::span<const std::uint16_t> base,
     const auto &groups = machine_.writeStubsByBus(fu);
     std::size_t n = machine_.numBuses();
     plan.stubs.reserve(all.size());
+    plan.busMask.resize(n);
+    plan.closing = true;
     // Group one bus's stubs by base rank, each group in list order
     // (run order within a bus is irrelevant: every run feeds its own
     // bucket). Quadratic in the bus's stub count with tiny factors,
@@ -373,18 +377,49 @@ BlockScheduler::closeWritePlan(std::span<const std::uint16_t> base,
         if (end_run > first_run) {
             plan.buses.push_back({static_cast<std::uint32_t>(b),
                                   first_run, end_run});
+            plan.busMask.set(b);
         }
     }
     return plan;
 }
 
-std::span<const WriteStub>
-BlockScheduler::writeCandidatesFor(const Communication &comm,
-                                   std::vector<WriteStub> &storage) const
+const BlockScheduler::WriteEmitPlan &
+BlockScheduler::writePlanFor(const Communication &comm) const
 {
     CS_ASSERT(comm.writer.valid(), "write candidates need a writer");
     const Placement &wp = schedule_.placement(comm.writer);
     CS_ASSERT(wp.scheduled, "write candidates need a placed writer");
+    if (isScheduled(comm.reader) && comm.readStub.has_value()) {
+        // Closing: base ranks against the file the reader reads from.
+        RegFileId read_rf =
+            machine_.readPortRegFile(comm.readStub->readPort);
+        return closeWritePlan(ctx_->closeBaseRow(read_rf), wp.fu);
+    }
+    // Open: the Section 4.5 class codes of the reader's shape (see the
+    // open branch of writeCandidatesFor).
+    const Operation &consumer = kernel_.operation(comm.reader);
+    std::span<const std::uint8_t> codes =
+        isScheduled(comm.reader)
+            ? (consumer.isCopy()
+                   ? ctx_->openCodesScheduledCopy(
+                         schedule_.placement(comm.reader).fu)
+                   : ctx_->openCodesScheduled(
+                         schedule_.placement(comm.reader).fu,
+                         comm.slot))
+            : (consumer.isCopy()
+                   ? ctx_->openCodesUnscheduledCopy()
+                   : ctx_->openCodesUnscheduled(consumer.opcode,
+                                                comm.slot));
+    const WriteEmitPlan &plan = openWritePlan(codes, wp.fu);
+    hot_.pruneRouteMask += plan.pruned;
+    return plan;
+}
+
+std::span<const WriteStub>
+BlockScheduler::writeCandidatesFor(const Communication &comm,
+                                   const WriteEmitPlan &plan,
+                                   std::vector<WriteStub> &storage) const
+{
     int cycle = writeStubCycleOf(comm.writer);
 
     // Per-bus value cache for this (value, cycle) query. bus_val[b]
@@ -427,17 +462,11 @@ BlockScheduler::writeCandidatesFor(const Communication &comm,
     buckets.assign(static_cast<std::size_t>(std::max(overflow, 7)) + 1,
                    0);
 
-    bool closing = isScheduled(comm.reader) && comm.readStub.has_value();
-
-    if (closing) {
-        RegFileId read_rf =
-            machine_.readPortRegFile(comm.readStub->readPort);
-        // Base ranks against this read file are a context table row
+    if (plan.closing) {
+        // Base ranks against the read file are a context table row
         // (indexed by the stub's register file); only the bus-sharing
         // preference (rank 0 vs 1 in the same file) depends on live
         // reservation state, and it is uniform across a bus.
-        const WriteEmitPlan &plan =
-            closeWritePlan(ctx_->closeBaseRow(read_rf), wp.fu);
         auto rank_of = [&](const WriteEmitPlan::Run &run,
                            std::uint32_t b) {
             return run.rank == BlockSchedulingContext::kSameFile
@@ -494,22 +523,6 @@ BlockScheduler::writeCandidatesFor(const Communication &comm,
     // it into default ranks (3 reachable / 7 serviceable-only); only
     // "special" buses — one already broadcasting this value, or the
     // one holding the tentative stub — need stub-level ranks.
-    const Operation &consumer = kernel_.operation(comm.reader);
-    std::span<const std::uint8_t> codes =
-        isScheduled(comm.reader)
-            ? (consumer.isCopy()
-                   ? ctx_->openCodesScheduledCopy(
-                         schedule_.placement(comm.reader).fu)
-                   : ctx_->openCodesScheduled(
-                         schedule_.placement(comm.reader).fu,
-                         comm.slot))
-            : (consumer.isCopy()
-                   ? ctx_->openCodesUnscheduledCopy()
-                   : ctx_->openCodesUnscheduled(consumer.opcode,
-                                                comm.slot));
-    const WriteEmitPlan &plan = openWritePlan(codes, wp.fu);
-    hot_.pruneRouteMask += plan.pruned;
-
     std::uint32_t ws_bus = comm.writeStub
                                ? comm.writeStub->bus.index()
                                : UINT32_MAX;
@@ -649,7 +662,9 @@ struct BlockScheduler::ReadSide
     {
         return s.issueCycleOf(comm.reader);
     }
-    std::span<const ReadStub> candidates(const Communication &comm,
+    void resolve(PermScratch &) const {}
+    std::span<const ReadStub> candidates(PermScratch &, std::size_t,
+                                         const Communication &comm,
                                          std::vector<ReadStub> &store) const
     {
         return s.readCandidatesFor(comm, store);
@@ -658,7 +673,7 @@ struct BlockScheduler::ReadSide
     {
         return s.machine_.readPortRegFile(stub.readPort);
     }
-    bool precheck(PermScratch &, int) const { return true; }
+    bool precheck(PermScratch &, int, std::size_t) const { return true; }
     /** A write stub on this bus rejects any read outright: the probe's
      *  own first check, made O(1). */
     bool prune(const Communication &, const ReadStub &stub, int at) const
@@ -735,11 +750,19 @@ struct BlockScheduler::WriteSide
     {
         return s.writeStubCycleOf(comm.writer);
     }
+    /** Each participant's emission plan, looked up once per search. */
+    void resolve(PermScratch &sc) const
+    {
+        sc.writePlans.clear();
+        for (CommId id : sc.ids)
+            sc.writePlans.push_back(&s.writePlanFor(s.comms_.get(id)));
+    }
     std::span<const WriteStub>
-    candidates(const Communication &comm,
+    candidates(PermScratch &sc, std::size_t level,
+               const Communication &comm,
                std::vector<WriteStub> &store) const
     {
-        return s.writeCandidatesFor(comm, store);
+        return s.writeCandidatesFor(comm, *sc.writePlans[level], store);
     }
     RegFileId regFileOf(const WriteStub &stub) const
     {
@@ -747,14 +770,18 @@ struct BlockScheduler::WriteSide
     }
 
     /**
-     * Fast infeasibility check: different values never share a bus,
-     * so the distinct values here need at least as many usable buses
-     * (idle, or already carrying one of these values in write role)
-     * among the candidate stubs. It reads only hashed inputs
-     * (candidate stubs, values) and the hashed row, so a no-good
-     * learned from it is as exact as one learned from the DFS.
+     * Fast infeasibility check, run before any candidate list exists
+     * except the pinned (constrained) one: different values never
+     * share a bus, so the distinct values here need at least as many
+     * usable buses (idle, or already carrying one of these values in
+     * write role) among the candidate stubs. A plan's bus mask is
+     * exactly its candidate list's bus set; the pinned list is
+     * filtered to one register file, so its buses come from the list.
+     * Everything read is hashed into the signature (the plan keys'
+     * inputs, values, the row), so a no-good learned from it is as
+     * exact as one learned from the DFS.
      */
-    bool precheck(PermScratch &sc, int cycle) const
+    bool precheck(PermScratch &sc, int cycle, std::size_t pinned) const
     {
         auto &distinct = sc.distinctValues;
         distinct.clear();
@@ -765,13 +792,16 @@ struct BlockScheduler::WriteSide
                 distinct.push_back(v);
             }
         }
-        // One pass collects the buses any candidate stub touches; the
-        // availability probes then run per bus, not per stub.
+        // The availability probes run per candidate bus, not per stub.
         const Machine &machine = s.machine_;
         InlineBitset &cand_buses = sc.candidateBuses;
         cand_buses.resize(machine.numBuses());
-        for (const auto &list : sc.write.candidates) {
-            for (const WriteStub &stub : list)
+        for (std::size_t i = 0; i < sc.ids.size(); ++i) {
+            if (i != pinned) {
+                cand_buses.orWith(sc.writePlans[i]->busMask);
+                continue;
+            }
+            for (const WriteStub &stub : sc.write.candidates[i])
                 cand_buses.set(stub.bus.index());
         }
         std::size_t usable_count = 0;
@@ -918,24 +948,6 @@ BlockScheduler::permuteStubs(int cycle, CommId constrain, RegFileId wantRf)
             side.release(comm, *previous[i], side.cycleOf(comm));
     }
 
-    // Candidate lists (post-release so sharing probes see the truth).
-    if (buf.store.size() < ids.size())
-        buf.store.resize(ids.size());
-    auto &candidates = buf.candidates;
-    candidates.resize(ids.size());
-    for (std::size_t i = 0; i < ids.size(); ++i) {
-        candidates[i] = side.candidates(comms_.get(ids[i]), buf.store[i]);
-        if (ids[i] == constrain) {
-            std::vector<Stub> &store = buf.store[i];
-            if (candidates[i].data() != store.data())
-                store.assign(candidates[i].begin(), candidates[i].end());
-            std::erase_if(store, [&](const Stub &stub) {
-                return side.regFileOf(stub) != wantRf;
-            });
-            candidates[i] = store;
-        }
-    }
-
     // Failure epilogue: restore the previous stubs (everything the
     // search acquired is already released) and learn the failure
     // unless an abort caused it. State is restored, so a deferred
@@ -955,8 +967,41 @@ BlockScheduler::permuteStubs(int cycle, CommId constrain, RegFileId wantRf)
         }
         return false;
     };
-    if (!side.precheck(sc, cycle))
+
+    // Candidate lists (post-release so sharing probes see the truth).
+    // The side resolves what the lists derive from first (the write
+    // side's emission plans), and the precheck decides from that, so
+    // a rejected search builds no list but the pinned one: the
+    // constrained communication's list, filtered to wantRf.
+    side.resolve(sc);
+    if (buf.store.size() < ids.size())
+        buf.store.resize(ids.size());
+    auto &candidates = buf.candidates;
+    candidates.resize(ids.size());
+    auto build = [&](std::size_t i) {
+        candidates[i] =
+            side.candidates(sc, i, comms_.get(ids[i]), buf.store[i]);
+    };
+    std::size_t pinned = ids.size();
+    if (constrain.valid()) {
+        pinned = static_cast<std::size_t>(
+            std::find(ids.begin(), ids.end(), constrain) - ids.begin());
+        build(pinned);
+        std::vector<Stub> &store = buf.store[pinned];
+        if (candidates[pinned].data() != store.data())
+            store.assign(candidates[pinned].begin(),
+                         candidates[pinned].end());
+        std::erase_if(store, [&](const Stub &stub) {
+            return side.regFileOf(stub) != wantRf;
+        });
+        candidates[pinned] = store;
+    }
+    if (!side.precheck(sc, cycle, pinned))
         return give_up();
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+        if (i != pinned)
+            build(i);
+    }
 
     // Bounded chronological depth-first search. On success every
     // level's acquisition is held and choice[] names it. The budget is

@@ -6,9 +6,9 @@
  * loop-carried operands, ending in two stores so every value is
  * observable. The same seed always yields the same kernel.
  *
- * test_random_machines.cpp keeps its own, smaller generator on
- * purpose: random machines only carry the add/sub/min units, so its
- * op mix is restricted to what they can execute.
+ * Random machines (random_machine.hpp) have their own, smaller
+ * kernel generator on purpose: they only carry the add/sub/min units,
+ * so its op mix is restricted to what they can execute.
  */
 
 #ifndef CS_TESTS_RANDOM_KERNEL_HPP
